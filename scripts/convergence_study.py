@@ -14,14 +14,20 @@ Usage: python3 scripts/convergence_study.py [--levels 4] [--alpha 10]
 """
 
 import argparse
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
 from surfaceflow.grid import GridSpec, ScalarField, coordinate_arrays
-from surfaceflow.geometry import build_geometry, christoffel_from_metric
+from surfaceflow.geometry import build_geometry
 from surfaceflow.model import FlowProblem
-from surfaceflow.solver import SolverConfig, check_natural_bc, solve
+from surfaceflow.solver import SolverConfig, solve
+
+# the validation helpers live with the tests
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from reference import check_natural_bc, christoffel_from_metric  # noqa: E402
 
 
 def quadratic_scene_error(n, alpha):

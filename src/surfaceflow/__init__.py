@@ -5,8 +5,8 @@ covariant derivative induced by the surface metric, so flow smoothness is
 measured along the surface rather than in the parameter plane.  Modules:
 
 - ``grid``: field containers and finite-difference stencils
-- ``geometry``: metric, Christoffel symbols, tangent/normal frames
-- ``model``: constraint residuals, energy, exact discrete gradient
+- ``geometry``: metric, its inverse, Christoffel symbols, area weights
+- ``model``: constraint residual, energy, exact discrete gradient
 - ``solver``: 16-color block SOR and preconditioned conjugate gradients
 - ``synth``: closed-form scenes with exact ground truth
 - ``io``: float-map, flow-file, manifest, and color-coding formats

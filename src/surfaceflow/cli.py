@@ -26,6 +26,7 @@ from .io import (
     Manifest,
     ManifestError,
     colorize,
+    default_max_magnitude,
     load_sequence,
     read_flow,
     read_manifest,
@@ -35,7 +36,7 @@ from .io import (
     write_ppm,
 )
 from .model import energy, energy_gradient, problem_from_frames
-from .solver import SolverConfig, solve
+from .solver import METHOD_ALIASES, SolverConfig, solve
 from .synth import SCENE_NAMES, make_scene, render
 
 __all__ = ["main", "run", "endpoint_error", "angular_error_deg"]
@@ -106,11 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_flow.add_argument("--alpha", type=_positive_float, default=10.0)
     p_flow.add_argument("--h", type=_positive_float, default=None, help="override grid spacing")
     p_flow.add_argument("--dt", type=_positive_float, default=None, help="override frame step")
-    p_flow.add_argument(
-        "--method",
-        default="sor",
-        choices=["sor", "successive-over-relaxation", "cg", "conjugate-gradient"],
-    )
+    p_flow.add_argument("--method", default="sor", choices=tuple(METHOD_ALIASES))
     p_flow.add_argument("--omega", type=float, default=1.9)
     p_flow.add_argument("--tol", type=_positive_float, default=1e-6)
     p_flow.add_argument("--max-iter", type=int, default=50000)
@@ -320,14 +317,10 @@ def cmd_energy(args) -> int:
 
 def cmd_color(args) -> int:
     u1, u2 = read_flow(args.flow)
-    rgb = colorize((u1, u2), args.max_magnitude)
-    write_ppm(args.out, rgb)
     used = args.max_magnitude
     if used is None:
-        rad = np.hypot(u1, u2)
-        used = float(np.percentile(rad, 99))
-        if used <= 0.0:
-            used = 1.0
+        used = default_max_magnitude(np.hypot(u1, u2))
+    write_ppm(args.out, colorize((u1, u2), used))
     print(
         _report({"flow": args.flow, "out": args.out, "max_magnitude": float(used)}),
         end="",

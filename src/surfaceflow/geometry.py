@@ -7,10 +7,9 @@ in the first and second derivatives of z:
     g      = I2 + grad(z) grad(z)^T,      det g = 1 + |grad(z)|^2,
     G^i_jk = d_i z * d_jk z / det g.
 
-The closed form is the production path.  The general Levi-Civita formula
-(half the contracted metric-derivative combination) is also implemented,
-with metric derivatives taken by the same grid stencils; the two agree to
-second order away from the boundary and serve as mutual validation.
+The test suite checks these closed forms against the general Levi-Civita
+formula evaluated with the same grid stencils; the two agree to second
+order away from the boundary.
 """
 
 from __future__ import annotations
@@ -19,28 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (
-    GridSpec,
-    ScalarField,
-    VectorField,
-    diff_x1,
-    diff_x1_array,
-    diff_x2,
-    diff_x2_array,
-    hessian,
-)
+from .grid import GridSpec, ScalarField, diff_x1_array, diff_x2_array, hessian
 
-__all__ = [
-    "SurfaceGeometry",
-    "build_geometry",
-    "flat_geometry",
-    "surface_gradient_coeffs",
-    "embed_tangent",
-    "unit_normal",
-    "tangential_surface_velocity",
-    "tangent_coords",
-    "christoffel_from_metric",
-]
+__all__ = ["SurfaceGeometry", "build_geometry", "flat_geometry"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,105 +151,3 @@ def _check_inverse(g11, g12, g22, i11, i12, i22) -> None:
     diag = np.maximum(np.abs(g11 * i11 + g12 * i12 - 1.0), np.abs(g12 * i12 + g22 * i22 - 1.0))
     if np.any(np.maximum(off, diag) > 1e-12 * scale):
         raise ValueError("metric inverse check failed; height field too extreme")
-
-
-def surface_gradient_coeffs(
-    geom: SurfaceGeometry, fx1: ScalarField, fx2: ScalarField
-) -> VectorField:
-    """Coefficients g^-1 grad(f); the embedded surface gradient is J times this."""
-    if fx1.spec != geom.spec or fx2.spec != geom.spec:
-        raise ValueError("data derivatives must share the geometry grid spec")
-    c1 = geom.ginv11.values * fx1.values + geom.ginv12.values * fx2.values
-    c2 = geom.ginv12.values * fx1.values + geom.ginv22.values * fx2.values
-    return VectorField.from_arrays(geom.spec, c1, c2)
-
-
-def embed_tangent(geom: SurfaceGeometry, u: VectorField) -> np.ndarray:
-    """Push coefficients through J; columns of J are (1,0,d1 z), (0,1,d2 z).
-
-    Returns an array of shape (height, width, 3).
-    """
-    if u.spec != geom.spec:
-        raise ValueError("vector field must share the geometry grid spec")
-    a1, a2 = u.u1.values, u.u2.values
-    out = np.empty(geom.spec.shape + (3,))
-    out[..., 0] = a1
-    out[..., 1] = a2
-    out[..., 2] = a1 * geom.dz1.values + a2 * geom.dz2.values
-    return out
-
-
-def unit_normal(geom: SurfaceGeometry) -> np.ndarray:
-    """Upward unit normal (-d1 z, -d2 z, 1) / sqrt(det g), shape (H, W, 3)."""
-    inv = 1.0 / geom.sqrt_detg.values
-    out = np.empty(geom.spec.shape + (3,))
-    out[..., 0] = -geom.dz1.values * inv
-    out[..., 1] = -geom.dz2.values * inv
-    out[..., 2] = inv
-    return out
-
-
-def tangential_surface_velocity(geom: SurfaceGeometry) -> np.ndarray:
-    """Projection of the parametrization velocity (0, 0, zt) onto the tangent plane."""
-    if not geom.evolving:
-        raise ValueError("geometry was built static; no surface velocity available")
-    xdot = np.zeros(geom.spec.shape + (3,))
-    xdot[..., 2] = geom.zt.values
-    n = unit_normal(geom)
-    normal_part = np.sum(xdot * n, axis=-1)
-    return xdot - normal_part[..., None] * n
-
-
-def tangent_coords(geom: SurfaceGeometry, vectors: np.ndarray) -> VectorField:
-    """Coefficients of the tangential part of per-point 3-vectors in the basis J.
-
-    Solves g c = J^T v pointwise; any normal component of ``v`` is annihilated
-    by J^T and therefore ignored.
-    """
-    if vectors.shape != geom.spec.shape + (3,):
-        raise ValueError(
-            f"expected per-point 3-vectors of shape {geom.spec.shape + (3,)}, "
-            f"got {vectors.shape}"
-        )
-    p1 = vectors[..., 0] + vectors[..., 2] * geom.dz1.values
-    p2 = vectors[..., 1] + vectors[..., 2] * geom.dz2.values
-    c1 = geom.ginv11.values * p1 + geom.ginv12.values * p2
-    c2 = geom.ginv12.values * p1 + geom.ginv22.values * p2
-    return VectorField.from_arrays(geom.spec, c1, c2)
-
-
-def christoffel_from_metric(
-    g11: ScalarField, g12: ScalarField, g22: ScalarField
-) -> dict[tuple[int, int, int], ScalarField]:
-    """Levi-Civita symbols from metric derivatives (validation path).
-
-    Evaluates 0.5 * sum_m g^{mi} (d_j g_km + d_k g_mj - d_m g_jk) with the
-    same central/one-sided stencils used everywhere else.  Returns the six
-    symbols keyed by (i, j, k) with j <= k.  Boundary-adjacent values are
-    low-order; comparisons against the closed graph form should stay two or
-    more points away from the boundary.
-    """
-    spec = g11.spec
-    if g12.spec != spec or g22.spec != spec:
-        raise ValueError("metric components must share one grid spec")
-    g = {(1, 1): g11.values, (1, 2): g12.values, (2, 1): g12.values, (2, 2): g22.values}
-    det = g11.values * g22.values - g12.values * g12.values
-    ginv = {
-        (1, 1): g22.values / det,
-        (1, 2): -g12.values / det,
-        (2, 1): -g12.values / det,
-        (2, 2): g11.values / det,
-    }
-    d = {}
-    for (j, k), comp in g.items():
-        d[(1, j, k)] = diff_x1_array(comp, spec.h)
-        d[(2, j, k)] = diff_x2_array(comp, spec.h)
-
-    out: dict[tuple[int, int, int], ScalarField] = {}
-    for i in (1, 2):
-        for j, k in ((1, 1), (1, 2), (2, 2)):
-            acc = np.zeros(spec.shape)
-            for m in (1, 2):
-                acc += ginv[(m, i)] * (d[(j, k, m)] + d[(k, m, j)] - d[(m, j, k)])
-            out[(i, j, k)] = ScalarField(spec, 0.5 * acc)
-    return out

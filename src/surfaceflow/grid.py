@@ -56,10 +56,6 @@ class GridSpec:
         """Array shape ``(height, width)``."""
         return (self.height, self.width)
 
-    @property
-    def cell_area(self) -> float:
-        return self.h * self.h
-
 
 def coordinate_arrays(
     spec: GridSpec, origin: tuple[float, float] = (0.0, 0.0)

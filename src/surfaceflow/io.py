@@ -36,6 +36,7 @@ __all__ = [
     "FLOW_MAGIC",
     "COLOR_WHEEL",
     "wheel_position",
+    "default_max_magnitude",
     "colorize",
     "write_ppm",
 ]
@@ -354,13 +355,20 @@ def wheel_position(u1, u2) -> np.ndarray:
     return (angle + 1.0) / 2.0 * (len(COLOR_WHEEL) - 1)
 
 
+def default_max_magnitude(rad: np.ndarray) -> float:
+    """Colour scale for flow magnitudes ``rad``: their 99th percentile, or
+    1.0 when that is zero (an all-zero field)."""
+    scale = float(np.percentile(rad, 99))
+    return scale if scale > 0.0 else 1.0
+
+
 def colorize(u, max_magnitude: float | None = None) -> np.ndarray:
     """Map a flow field to RGB: hue from direction, darkness from magnitude.
 
     Zero vectors map to white and saturation reaches the pure wheel color at
     ``max_magnitude`` (longer vectors are clipped).  When ``max_magnitude``
-    is omitted the 99th percentile of the magnitudes is used; for an all-zero
-    field that degenerates to a uniform white image.
+    is omitted :func:`default_max_magnitude` picks it; an all-zero field
+    then renders as a uniform white image.
     """
     if isinstance(u, VectorField):
         u1_values, u2_values = u.u1.values, u.u2.values
@@ -368,9 +376,7 @@ def colorize(u, max_magnitude: float | None = None) -> np.ndarray:
         u1_values, u2_values = (np.asarray(c, dtype=float) for c in u)
     rad = np.hypot(u1_values, u2_values)
     if max_magnitude is None:
-        max_magnitude = float(np.percentile(rad, 99))
-        if max_magnitude <= 0.0:
-            max_magnitude = 1.0
+        max_magnitude = default_max_magnitude(rad)
     elif max_magnitude <= 0.0:
         raise ValueError(f"max_magnitude must be positive, got {max_magnitude}")
 

@@ -23,12 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (
-    SurfaceGeometry,
-    embed_tangent,
-    flat_geometry,
-    surface_gradient_coeffs,
-)
+from .geometry import SurfaceGeometry, flat_geometry
 from .grid import (
     ScalarField,
     VectorField,
@@ -43,11 +38,8 @@ from .grid import (
 
 __all__ = [
     "FlowProblem",
-    "CovariantDerivative",
     "problem_from_frames",
     "ofc_residual",
-    "intrinsic_ofc_residual",
-    "covariant_derivative",
     "energy",
     "energy_gradient",
 ]
@@ -79,16 +71,6 @@ class FlowProblem:
     @property
     def spec(self):
         return self.geom.spec
-
-
-@dataclass(frozen=True, eq=False)
-class CovariantDerivative:
-    """Entries d_ij = D_j u^i of the covariant derivative of a vector field."""
-
-    d11: ScalarField
-    d12: ScalarField
-    d21: ScalarField
-    d22: ScalarField
 
 
 def problem_from_frames(
@@ -127,52 +109,6 @@ def ofc_residual(problem: FlowProblem, u: VectorField) -> ScalarField:
         + problem.ft.values
     )
     return ScalarField(problem.spec, r)
-
-
-def intrinsic_ofc_residual(
-    geom: SurfaceGeometry,
-    fx1: ScalarField,
-    fx2: ScalarField,
-    f_param_t: ScalarField,
-    v_tan_coeffs: VectorField,
-) -> ScalarField:
-    """Surface form of the constraint residual for an absolute velocity field.
-
-    ``v_tan_coeffs`` holds coordinates (in the tangent basis J) of the data's
-    absolute tangential velocity: motion relative to space, not to the
-    moving parametrization.  The residual is
-
-        <grad_M f, J v> + (f_param_t - <grad_M f, xdot>),
-
-    with grad_M f the embedded surface gradient, xdot = (0, 0, zt) the
-    parametrization velocity, and all inner products taken in ambient
-    3-space on embedded vectors; the bracketed term is the normal time
-    derivative of the data.  Adding the tangential coordinates of xdot to
-    the parametric flow u makes this equal the pulled-back residual
-    identically, so a static surface (zt = 0) reduces it to
-    :func:`ofc_residual`.
-    """
-    spec = geom.spec
-    for name, field in (("fx1", fx1), ("fx2", fx2), ("f_param_t", f_param_t)):
-        if field.spec != spec:
-            raise ValueError(f"{name} does not match the geometry grid spec")
-    if v_tan_coeffs.spec != spec:
-        raise ValueError("velocity field does not match the geometry grid spec")
-    grad3 = embed_tangent(geom, surface_gradient_coeffs(geom, fx1, fx2))
-    v3 = embed_tangent(geom, v_tan_coeffs)
-    advect = np.sum(grad3 * v3, axis=-1)
-    # parametrization velocity (0, 0, zt): only the third component survives
-    grad_dot_xdot = grad3[..., 2] * geom.zt.values
-    return ScalarField(spec, advect + f_param_t.values - grad_dot_xdot)
-
-
-def covariant_derivative(geom: SurfaceGeometry, u: VectorField) -> CovariantDerivative:
-    """All four entries D_j u^i on the grid."""
-    if u.spec != geom.spec:
-        raise ValueError("vector field does not match the geometry grid spec")
-    d11, d12, d21, d22 = _covd_arrays(geom, u.u1.values, u.u2.values)
-    wrap = lambda a: ScalarField(geom.spec, a)
-    return CovariantDerivative(wrap(d11), wrap(d12), wrap(d21), wrap(d22))
 
 
 def energy(problem: FlowProblem, u: VectorField) -> float:

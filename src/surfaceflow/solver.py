@@ -27,20 +27,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import SurfaceGeometry
-from .grid import ScalarField, VectorField
-from .model import FlowProblem, covariant_derivative, energy, _gradient_arrays
+from .grid import VectorField
+from .model import FlowProblem, energy, _gradient_arrays
 
 __all__ = [
+    "METHOD_ALIASES",
     "SolverConfig",
     "SolverReport",
     "LinearSystem",
     "assemble",
     "solve",
-    "check_natural_bc",
 ]
 
-_METHOD_ALIASES = {
+# accepted method spellings (SolverConfig also ignores case) -> canonical name
+METHOD_ALIASES = {
     "sor": "sor",
     "successive-over-relaxation": "sor",
     "cg": "cg",
@@ -58,10 +58,10 @@ class SolverConfig:
     max_iter: int = 50000
 
     def __post_init__(self) -> None:
-        canonical = _METHOD_ALIASES.get(self.method.lower())
+        canonical = METHOD_ALIASES.get(self.method.lower())
         if canonical is None:
             raise ValueError(
-                f"unknown method {self.method!r}; expected one of {sorted(_METHOD_ALIASES)}"
+                f"unknown method {self.method!r}; expected one of {sorted(METHOD_ALIASES)}"
             )
         object.__setattr__(self, "method", canonical)
         if not (0.0 < self.omega < 2.0):
@@ -108,9 +108,6 @@ class LinearSystem:
     problem: FlowProblem
     b1: np.ndarray = field(init=False, repr=False)
     b2: np.ndarray = field(init=False, repr=False)
-    _blocks: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
-        init=False, default=None, repr=False
-    )
 
     def __post_init__(self) -> None:
         zero = np.zeros(self.problem.spec.shape)
@@ -124,31 +121,29 @@ class LinearSystem:
     def gradient(self, u1: np.ndarray, u2: np.ndarray):
         return _gradient_arrays(self.problem, u1, u2)
 
-    def diag_blocks(self):
-        """Per-point 2x2 diagonal blocks (a11, a12, a22) of A, probed exactly."""
-        if self._blocks is None:
-            shape = self.problem.spec.shape
-            a11 = np.empty(shape)
-            a12 = np.empty(shape)
-            a22 = np.empty(shape)
-            zero = np.zeros(shape)
-            for a in range(4):
-                for b in range(4):
-                    sel = (slice(a, None, 4), slice(b, None, 4))
-                    e = np.zeros(shape)
-                    e[sel] = 1.0
-                    y1, y2 = self.apply(e, zero)
-                    a11[sel] = y1[sel]
-                    a12[sel] = y2[sel]
-                    y1, y2 = self.apply(zero, e)
-                    a22[sel] = y2[sel]
-            det = a11 * a22 - a12 * a12
-            # stencil rows touched by only one component keep the columns of
-            # the point block linearly independent, so the blocks are SPD
-            if not (np.all(a11 > 0) and np.all(det > 0)):
-                raise RuntimeError("probed diagonal blocks are not positive definite")
-            self._blocks = (a11, a12, a22)
-        return self._blocks
+    def block_inverse(self):
+        """Inverses (i11, i12, i22) of A's per-point 2x2 diagonal blocks, probed exactly."""
+        shape = self.problem.spec.shape
+        a11 = np.empty(shape)
+        a12 = np.empty(shape)
+        a22 = np.empty(shape)
+        zero = np.zeros(shape)
+        for a in range(4):
+            for b in range(4):
+                sel = (slice(a, None, 4), slice(b, None, 4))
+                e = np.zeros(shape)
+                e[sel] = 1.0
+                y1, y2 = self.apply(e, zero)
+                a11[sel] = y1[sel]
+                a12[sel] = y2[sel]
+                y1, y2 = self.apply(zero, e)
+                a22[sel] = y2[sel]
+        det = a11 * a22 - a12 * a12
+        # stencil rows touched by only one component keep the columns of
+        # the point block linearly independent, so the blocks are SPD
+        if not (np.all(a11 > 0) and np.all(det > 0)):
+            raise RuntimeError("probed diagonal blocks are not positive definite")
+        return a22 / det, -a12 / det, a11 / det
 
 
 def assemble(problem: FlowProblem) -> LinearSystem:
@@ -225,11 +220,7 @@ def _max_norm(g1: np.ndarray, g2: np.ndarray) -> float:
 
 def _solve_sor(problem, system, config, u1, u2, trace):
     """16-color exact block SOR; colors visited row-major in (mod 4, mod 4)."""
-    a11, a12, a22 = system.diag_blocks()
-    det = a11 * a22 - a12 * a12
-    i11 = a22 / det
-    i12 = -a12 / det
-    i22 = a11 / det
+    i11, i12, i22 = system.block_inverse()
     omega = config.omega
 
     converged = False
@@ -256,11 +247,7 @@ def _solve_sor(problem, system, config, u1, u2, trace):
 
 def _solve_cg(problem, system, config, u1, u2, trace):
     """Conjugate gradients on A u = -b, preconditioned by the 2x2 blocks."""
-    a11, a12, a22 = system.diag_blocks()
-    det = a11 * a22 - a12 * a12
-    i11 = a22 / det
-    i12 = -a12 / det
-    i22 = a11 / det
+    i11, i12, i22 = system.block_inverse()
 
     def precond(r1, r2):
         return i11 * r1 + i12 * r2, i12 * r1 + i22 * r2
@@ -300,25 +287,3 @@ def _solve_cg(problem, system, config, u1, u2, trace):
         p2 = z2 + beta * p2
         rz = rz_next
     return converged, iterations, u1, u2, res
-
-
-def check_natural_bc(geom: SurfaceGeometry, u: VectorField) -> ScalarField:
-    """Boundary residual of the natural boundary condition, per point.
-
-    The energy's natural boundary condition is D_1 u^i = 0 on the two
-    x1-extreme columns and D_2 u^i = 0 on the two x2-extreme rows, with the
-    derivative taken one-sided along the edge normal (exactly what the
-    stencils already do at the boundary).  Returned field: zero in the
-    interior, max-abs over flow components at each boundary point, max over
-    both conditions at corners.  Minimizers of the discrete energy satisfy
-    the condition to first order in the grid spacing.
-    """
-    cd = covariant_derivative(geom, u)
-    n1 = np.maximum(np.abs(cd.d11.values), np.abs(cd.d21.values))
-    n2 = np.maximum(np.abs(cd.d12.values), np.abs(cd.d22.values))
-    out = np.zeros(geom.spec.shape)
-    out[:, 0] = n1[:, 0]
-    out[:, -1] = n1[:, -1]
-    out[0, :] = np.maximum(out[0, :], n2[0, :])
-    out[-1, :] = np.maximum(out[-1, :], n2[-1, :])
-    return ScalarField(geom.spec, out)

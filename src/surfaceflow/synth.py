@@ -40,7 +40,6 @@ __all__ = [
     "SCENE_NAMES",
     "make_scene",
     "render",
-    "bca_residual",
 ]
 
 
@@ -329,78 +328,6 @@ def _check_overlap(scene: SyntheticScene, x1: np.ndarray, x2: np.ndarray) -> Non
                 "motion carries the central half-box outside the grid over "
                 f"{scene.frame_count} frames; shorten the sequence or slow the motion"
             )
-
-
-def bca_residual(frames, truth, spec: GridSpec, origin=(0.0, 0.0)) -> float:
-    """Worst brightness-constancy violation along trajectories of the truth flow.
-
-    Trajectories start at the grid points of frame 0 and are advanced one
-    frame step at a time through the per-frame velocity fields (classic
-    Runge-Kutta with bilinearly interpolated, time-averaged velocities, so
-    integration error is far below interpolation error for smooth motions).
-    At every frame the current frame is sampled bilinearly at the trajectory
-    positions and compared with frame 0; positions outside the grid are
-    skipped.  For noise-free renders the result is pure interpolation error,
-    zero when trajectories land on grid points.
-    """
-    if len(frames) != len(truth):
-        raise ValueError("frames and truth must have equal length")
-    x1, x2 = coordinate_arrays(spec, origin)
-    p1, p2 = x1.copy(), x2.copy()
-    f0 = frames[0].values
-    worst = 0.0
-    for k in range(1, len(frames)):
-        p1, p2 = _advance(truth[k - 1], truth[k], p1, p2, spec, origin)
-        values, inside = _bilinear(frames[k], p1, p2, origin)
-        if np.any(inside):
-            gap = np.abs(values - f0)
-            worst = max(worst, float(np.max(gap[inside])))
-    return worst
-
-
-def _advance(truth_a, truth_b, p1, p2, spec, origin):
-    """One RK4 step of dt through velocity fields given at the step endpoints."""
-
-    def vel(field, q1, q2):
-        v1, _ = _bilinear(field.u1, q1, q2, origin)
-        v2, _ = _bilinear(field.u2, q1, q2, origin)
-        return v1, v2
-
-    def mid(q1, q2):
-        a1, a2 = vel(truth_a, q1, q2)
-        b1, b2 = vel(truth_b, q1, q2)
-        return 0.5 * (a1 + b1), 0.5 * (a2 + b2)
-
-    dt = spec.dt
-    k1 = vel(truth_a, p1, p2)
-    k2 = mid(p1 + 0.5 * dt * k1[0], p2 + 0.5 * dt * k1[1])
-    k3 = mid(p1 + 0.5 * dt * k2[0], p2 + 0.5 * dt * k2[1])
-    k4 = vel(truth_b, p1 + dt * k3[0], p2 + dt * k3[1])
-    q1 = p1 + dt / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-    q2 = p2 + dt / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-    return q1, q2
-
-
-def _bilinear(field: ScalarField, x1: np.ndarray, x2: np.ndarray, origin):
-    """Sample a field at arbitrary points; returns (values, in_domain_mask)."""
-    spec = field.spec
-    fx = (x1 - origin[0]) / spec.h
-    fy = (x2 - origin[1]) / spec.h
-    inside = (fx >= 0) & (fx <= spec.width - 1) & (fy >= 0) & (fy <= spec.height - 1)
-    fx = np.clip(fx, 0, spec.width - 1)
-    fy = np.clip(fy, 0, spec.height - 1)
-    i0 = np.minimum(np.floor(fx).astype(int), spec.width - 2)
-    j0 = np.minimum(np.floor(fy).astype(int), spec.height - 2)
-    wx = fx - i0
-    wy = fy - j0
-    v = field.values
-    vals = (
-        v[j0, i0] * (1 - wx) * (1 - wy)
-        + v[j0, i0 + 1] * wx * (1 - wy)
-        + v[j0 + 1, i0] * (1 - wx) * wy
-        + v[j0 + 1, i0 + 1] * wx * wy
-    )
-    return vals, inside
 
 
 SCENE_NAMES = (

@@ -1,0 +1,295 @@
+"""Validation-only geometry, constraint and trajectory helpers for the tests.
+
+These functions check the package's production path from the outside: the
+general Levi-Civita formula against the closed-form graph Christoffel
+symbols, the surface form of the optical-flow constraint against the
+pulled-back residual, the natural boundary condition of converged flows,
+and brightness constancy along ground-truth trajectories.  Unlike
+``oracles``, they build on the package's grid stencils and containers;
+:func:`covariant_derivative` wraps the package's own covariant-derivative
+kernel, so tests of it exercise the code the energy uses.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from surfaceflow.geometry import SurfaceGeometry
+from surfaceflow.grid import (
+    GridSpec,
+    ScalarField,
+    VectorField,
+    coordinate_arrays,
+    diff_x1_array,
+    diff_x2_array,
+)
+from surfaceflow.model import _covd_arrays
+
+
+# ---------------------------------------------------------------------------
+# surface frames and the general Christoffel formula
+# ---------------------------------------------------------------------------
+
+
+def surface_gradient_coeffs(
+    geom: SurfaceGeometry, fx1: ScalarField, fx2: ScalarField
+) -> VectorField:
+    """Coefficients g^-1 grad(f); the embedded surface gradient is J times this."""
+    if fx1.spec != geom.spec or fx2.spec != geom.spec:
+        raise ValueError("data derivatives must share the geometry grid spec")
+    c1 = geom.ginv11.values * fx1.values + geom.ginv12.values * fx2.values
+    c2 = geom.ginv12.values * fx1.values + geom.ginv22.values * fx2.values
+    return VectorField.from_arrays(geom.spec, c1, c2)
+
+
+def embed_tangent(geom: SurfaceGeometry, u: VectorField) -> np.ndarray:
+    """Push coefficients through J; columns of J are (1,0,d1 z), (0,1,d2 z).
+
+    Returns an array of shape (height, width, 3).
+    """
+    if u.spec != geom.spec:
+        raise ValueError("vector field must share the geometry grid spec")
+    a1, a2 = u.u1.values, u.u2.values
+    out = np.empty(geom.spec.shape + (3,))
+    out[..., 0] = a1
+    out[..., 1] = a2
+    out[..., 2] = a1 * geom.dz1.values + a2 * geom.dz2.values
+    return out
+
+
+def unit_normal(geom: SurfaceGeometry) -> np.ndarray:
+    """Upward unit normal (-d1 z, -d2 z, 1) / sqrt(det g), shape (H, W, 3)."""
+    inv = 1.0 / geom.sqrt_detg.values
+    out = np.empty(geom.spec.shape + (3,))
+    out[..., 0] = -geom.dz1.values * inv
+    out[..., 1] = -geom.dz2.values * inv
+    out[..., 2] = inv
+    return out
+
+
+def tangential_surface_velocity(geom: SurfaceGeometry) -> np.ndarray:
+    """Projection of the parametrization velocity (0, 0, zt) onto the tangent plane."""
+    if not geom.evolving:
+        raise ValueError("geometry was built static; no surface velocity available")
+    xdot = np.zeros(geom.spec.shape + (3,))
+    xdot[..., 2] = geom.zt.values
+    n = unit_normal(geom)
+    normal_part = np.sum(xdot * n, axis=-1)
+    return xdot - normal_part[..., None] * n
+
+
+def tangent_coords(geom: SurfaceGeometry, vectors: np.ndarray) -> VectorField:
+    """Coefficients of the tangential part of per-point 3-vectors in the basis J.
+
+    Solves g c = J^T v pointwise; any normal component of ``v`` is annihilated
+    by J^T and therefore ignored.
+    """
+    if vectors.shape != geom.spec.shape + (3,):
+        raise ValueError(
+            f"expected per-point 3-vectors of shape {geom.spec.shape + (3,)}, "
+            f"got {vectors.shape}"
+        )
+    p1 = vectors[..., 0] + vectors[..., 2] * geom.dz1.values
+    p2 = vectors[..., 1] + vectors[..., 2] * geom.dz2.values
+    c1 = geom.ginv11.values * p1 + geom.ginv12.values * p2
+    c2 = geom.ginv12.values * p1 + geom.ginv22.values * p2
+    return VectorField.from_arrays(geom.spec, c1, c2)
+
+
+def christoffel_from_metric(
+    g11: ScalarField, g12: ScalarField, g22: ScalarField
+) -> dict[tuple[int, int, int], ScalarField]:
+    """Levi-Civita symbols from metric derivatives.
+
+    Evaluates 0.5 * sum_m g^{mi} (d_j g_km + d_k g_mj - d_m g_jk) with the
+    same central/one-sided stencils used everywhere else.  Returns the six
+    symbols keyed by (i, j, k) with j <= k.  Boundary-adjacent values are
+    low-order; comparisons against the closed graph form should stay two or
+    more points away from the boundary.
+    """
+    spec = g11.spec
+    if g12.spec != spec or g22.spec != spec:
+        raise ValueError("metric components must share one grid spec")
+    g = {(1, 1): g11.values, (1, 2): g12.values, (2, 1): g12.values, (2, 2): g22.values}
+    det = g11.values * g22.values - g12.values * g12.values
+    ginv = {
+        (1, 1): g22.values / det,
+        (1, 2): -g12.values / det,
+        (2, 1): -g12.values / det,
+        (2, 2): g11.values / det,
+    }
+    d = {}
+    for (j, k), comp in g.items():
+        d[(1, j, k)] = diff_x1_array(comp, spec.h)
+        d[(2, j, k)] = diff_x2_array(comp, spec.h)
+
+    out: dict[tuple[int, int, int], ScalarField] = {}
+    for i in (1, 2):
+        for j, k in ((1, 1), (1, 2), (2, 2)):
+            acc = np.zeros(spec.shape)
+            for m in (1, 2):
+                acc += ginv[(m, i)] * (d[(j, k, m)] + d[(k, m, j)] - d[(m, j, k)])
+            out[(i, j, k)] = ScalarField(spec, 0.5 * acc)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# constraint residual and covariant derivative
+# ---------------------------------------------------------------------------
+
+
+def intrinsic_ofc_residual(
+    geom: SurfaceGeometry,
+    fx1: ScalarField,
+    fx2: ScalarField,
+    f_param_t: ScalarField,
+    v_tan_coeffs: VectorField,
+) -> ScalarField:
+    """Surface form of the constraint residual for an absolute velocity field.
+
+    ``v_tan_coeffs`` holds coordinates (in the tangent basis J) of the data's
+    absolute tangential velocity: motion relative to space, not to the
+    moving parametrization.  The residual is
+
+        <grad_M f, J v> + (f_param_t - <grad_M f, xdot>),
+
+    with grad_M f the embedded surface gradient, xdot = (0, 0, zt) the
+    parametrization velocity, and all inner products taken in ambient
+    3-space on embedded vectors; the bracketed term is the normal time
+    derivative of the data.  Adding the tangential coordinates of xdot to
+    the parametric flow u makes this equal the pulled-back residual
+    identically, so a static surface (zt = 0) reduces it to
+    :func:`surfaceflow.model.ofc_residual`.
+    """
+    spec = geom.spec
+    for name, field in (("fx1", fx1), ("fx2", fx2), ("f_param_t", f_param_t)):
+        if field.spec != spec:
+            raise ValueError(f"{name} does not match the geometry grid spec")
+    if v_tan_coeffs.spec != spec:
+        raise ValueError("velocity field does not match the geometry grid spec")
+    grad3 = embed_tangent(geom, surface_gradient_coeffs(geom, fx1, fx2))
+    v3 = embed_tangent(geom, v_tan_coeffs)
+    advect = np.sum(grad3 * v3, axis=-1)
+    # parametrization velocity (0, 0, zt): only the third component survives
+    grad_dot_xdot = grad3[..., 2] * geom.zt.values
+    return ScalarField(spec, advect + f_param_t.values - grad_dot_xdot)
+
+
+@dataclass(frozen=True, eq=False)
+class CovariantDerivative:
+    """Entries d_ij = D_j u^i of the covariant derivative of a vector field."""
+
+    d11: ScalarField
+    d12: ScalarField
+    d21: ScalarField
+    d22: ScalarField
+
+
+def covariant_derivative(geom: SurfaceGeometry, u: VectorField) -> CovariantDerivative:
+    """All four entries D_j u^i on the grid."""
+    if u.spec != geom.spec:
+        raise ValueError("vector field does not match the geometry grid spec")
+    d11, d12, d21, d22 = _covd_arrays(geom, u.u1.values, u.u2.values)
+    wrap = lambda a: ScalarField(geom.spec, a)
+    return CovariantDerivative(wrap(d11), wrap(d12), wrap(d21), wrap(d22))
+
+
+def check_natural_bc(geom: SurfaceGeometry, u: VectorField) -> ScalarField:
+    """Boundary residual of the natural boundary condition, per point.
+
+    The energy's natural boundary condition is D_1 u^i = 0 on the two
+    x1-extreme columns and D_2 u^i = 0 on the two x2-extreme rows, with the
+    derivative taken one-sided along the edge normal (exactly what the
+    stencils already do at the boundary).  Returned field: zero in the
+    interior, max-abs over flow components at each boundary point, max over
+    both conditions at corners.  Minimizers of the discrete energy satisfy
+    the condition to first order in the grid spacing.
+    """
+    cd = covariant_derivative(geom, u)
+    n1 = np.maximum(np.abs(cd.d11.values), np.abs(cd.d21.values))
+    n2 = np.maximum(np.abs(cd.d12.values), np.abs(cd.d22.values))
+    out = np.zeros(geom.spec.shape)
+    out[:, 0] = n1[:, 0]
+    out[:, -1] = n1[:, -1]
+    out[0, :] = np.maximum(out[0, :], n2[0, :])
+    out[-1, :] = np.maximum(out[-1, :], n2[-1, :])
+    return ScalarField(geom.spec, out)
+
+
+# ---------------------------------------------------------------------------
+# brightness constancy along ground-truth trajectories
+# ---------------------------------------------------------------------------
+
+
+def bca_residual(frames, truth, spec: GridSpec, origin=(0.0, 0.0)) -> float:
+    """Worst brightness-constancy violation along trajectories of the truth flow.
+
+    Trajectories start at the grid points of frame 0 and are advanced one
+    frame step at a time through the per-frame velocity fields (classic
+    Runge-Kutta with bilinearly interpolated, time-averaged velocities, so
+    integration error is far below interpolation error for smooth motions).
+    At every frame the current frame is sampled bilinearly at the trajectory
+    positions and compared with frame 0; positions outside the grid are
+    skipped.  For noise-free renders the result is pure interpolation error,
+    zero when trajectories land on grid points.
+    """
+    if len(frames) != len(truth):
+        raise ValueError("frames and truth must have equal length")
+    x1, x2 = coordinate_arrays(spec, origin)
+    p1, p2 = x1.copy(), x2.copy()
+    f0 = frames[0].values
+    worst = 0.0
+    for k in range(1, len(frames)):
+        p1, p2 = _advance(truth[k - 1], truth[k], p1, p2, spec, origin)
+        values, inside = _bilinear(frames[k], p1, p2, origin)
+        if np.any(inside):
+            gap = np.abs(values - f0)
+            worst = max(worst, float(np.max(gap[inside])))
+    return worst
+
+
+def _advance(truth_a, truth_b, p1, p2, spec, origin):
+    """One RK4 step of dt through velocity fields given at the step endpoints."""
+
+    def vel(field, q1, q2):
+        v1, _ = _bilinear(field.u1, q1, q2, origin)
+        v2, _ = _bilinear(field.u2, q1, q2, origin)
+        return v1, v2
+
+    def mid(q1, q2):
+        a1, a2 = vel(truth_a, q1, q2)
+        b1, b2 = vel(truth_b, q1, q2)
+        return 0.5 * (a1 + b1), 0.5 * (a2 + b2)
+
+    dt = spec.dt
+    k1 = vel(truth_a, p1, p2)
+    k2 = mid(p1 + 0.5 * dt * k1[0], p2 + 0.5 * dt * k1[1])
+    k3 = mid(p1 + 0.5 * dt * k2[0], p2 + 0.5 * dt * k2[1])
+    k4 = vel(truth_b, p1 + dt * k3[0], p2 + dt * k3[1])
+    q1 = p1 + dt / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+    q2 = p2 + dt / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+    return q1, q2
+
+
+def _bilinear(field: ScalarField, x1: np.ndarray, x2: np.ndarray, origin):
+    """Sample a field at arbitrary points; returns (values, in_domain_mask)."""
+    spec = field.spec
+    fx = (x1 - origin[0]) / spec.h
+    fy = (x2 - origin[1]) / spec.h
+    inside = (fx >= 0) & (fx <= spec.width - 1) & (fy >= 0) & (fy <= spec.height - 1)
+    fx = np.clip(fx, 0, spec.width - 1)
+    fy = np.clip(fy, 0, spec.height - 1)
+    i0 = np.minimum(np.floor(fx).astype(int), spec.width - 2)
+    j0 = np.minimum(np.floor(fy).astype(int), spec.height - 2)
+    wx = fx - i0
+    wy = fy - j0
+    v = field.values
+    vals = (
+        v[j0, i0] * (1 - wx) * (1 - wy)
+        + v[j0, i0 + 1] * wx * (1 - wy)
+        + v[j0 + 1, i0] * (1 - wx) * wy
+        + v[j0 + 1, i0 + 1] * wx * wy
+    )
+    return vals, inside

@@ -11,20 +11,9 @@ import time
 import numpy as np
 
 from surfaceflow.grid import GridSpec, ScalarField, VectorField, coordinate_arrays
-from surfaceflow.geometry import (
-    build_geometry,
-    christoffel_from_metric,
-    tangent_coords,
-    tangential_surface_velocity,
-)
-from surfaceflow.model import (
-    FlowProblem,
-    energy,
-    energy_gradient,
-    intrinsic_ofc_residual,
-    problem_from_frames,
-)
-from surfaceflow.solver import SolverConfig, assemble, check_natural_bc, solve
+from surfaceflow.geometry import build_geometry
+from surfaceflow.model import FlowProblem, energy, energy_gradient, problem_from_frames
+from surfaceflow.solver import SolverConfig, assemble, solve
 from surfaceflow.synth import GaussianPattern, MovingBump, make_scene, render
 from surfaceflow.io import (
     COLOR_WHEEL,
@@ -38,6 +27,13 @@ from surfaceflow.io import (
 
 from conftest import random_problem, random_vector_field
 from oracles import classical_hs_system
+from reference import (
+    check_natural_bc,
+    christoffel_from_metric,
+    intrinsic_ofc_residual,
+    tangent_coords,
+    tangential_surface_velocity,
+)
 
 
 def _verdict(number: int, label: str, ok: bool, detail: str) -> None:

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from surfaceflow.cli import angular_error_deg, endpoint_error, main
-from surfaceflow.io import read_flow, read_manifest, write_flow
+from surfaceflow.io import colorize, read_flow, read_manifest, write_flow, write_ppm
+from surfaceflow.solver import METHOD_ALIASES
 
 
 def run_cli(capsys, *argv):
@@ -165,6 +166,21 @@ class TestFlowCommand:
         assert (out / "flow_0000_0001.flo").is_file()
         assert (out / "report_0000_0001.txt").is_file()
 
+    @pytest.mark.parametrize("method", sorted(METHOD_ALIASES))
+    def test_every_method_spelling_accepted(self, tmp_path, capsys, translation_dir, method):
+        code, report = run_cli(
+            capsys,
+            "flow",
+            "--manifest",
+            str(translation_dir / "manifest.txt"),
+            "--out",
+            str(tmp_path / "run"),
+            "--method",
+            method,
+        )
+        assert code == 0
+        assert report["method"] == METHOD_ALIASES[method]
+
     def test_alpha_zero_rejected_at_parsing(self, tmp_path, capsys, translation_dir):
         code = main(
             [
@@ -319,6 +335,21 @@ class TestColorCommand:
         assert data.startswith(b"P6\n4 4\n255\n")
         # unit rightward flow at full saturation is the wheel's first color
         assert data[-3:] == bytes([255, 0, 0])
+
+    @pytest.mark.parametrize("scale", [1.0, 0.0])
+    def test_default_magnitude_is_99th_percentile(self, tmp_path, capsys, scale):
+        rng = np.random.default_rng(5)
+        flow = tmp_path / "u.flo"
+        write_flow(flow, scale * rng.standard_normal((9, 11)), scale * rng.standard_normal((9, 11)))
+        out = tmp_path / "u.ppm"
+        code, report = run_cli(capsys, "color", "--flow", str(flow), "--out", str(out))
+        assert code == 0
+        u1, u2 = read_flow(flow)
+        expected = float(np.percentile(np.hypot(u1, u2), 99)) if scale else 1.0
+        assert float(report["max_magnitude"]) == expected
+        reference = tmp_path / "reference.ppm"
+        write_ppm(reference, colorize((u1, u2)))
+        assert out.read_bytes() == reference.read_bytes()
 
     def test_corrupt_flow_is_io_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.flo"

@@ -2,18 +2,17 @@ import numpy as np
 import pytest
 
 from surfaceflow.grid import GridSpec, ScalarField, VectorField, coordinate_arrays
-from surfaceflow.geometry import (
-    build_geometry,
+from surfaceflow.geometry import build_geometry, flat_geometry
+
+from conftest import random_geometry, random_vector_field
+from reference import (
     christoffel_from_metric,
     embed_tangent,
-    flat_geometry,
     surface_gradient_coeffs,
     tangent_coords,
     tangential_surface_velocity,
     unit_normal,
 )
-
-from conftest import random_geometry, random_vector_field
 
 
 def make_surface(spec, fn, origin=(0.0, 0.0)):

@@ -9,12 +9,12 @@ from surfaceflow.solver import (
     SolverConfig,
     SolverReport,
     assemble,
-    check_natural_bc,
     solve,
 )
 from surfaceflow.synth import make_scene, render
 
 from conftest import random_problem, random_vector_field
+from reference import check_natural_bc
 
 
 def quadratic_translation_problem(n, extent=4.0, alpha=10.0):

@@ -13,10 +13,11 @@ from surfaceflow.synth import (
     Rotation,
     SyntheticScene,
     Translation,
-    bca_residual,
     make_scene,
     render,
 )
+
+from reference import bca_residual
 
 
 def pixel_scene(size, surface, pattern, motion, frame_count=3, **kwargs):
