@@ -20,13 +20,13 @@ from pathlib import Path
 
 import numpy as np
 
-from surfaceflow.grid import GridSpec, ScalarField, coordinate_arrays
-from surfaceflow.geometry import build_geometry
-from surfaceflow.model import FlowProblem
-from surfaceflow.solver import SolverConfig, solve
-
-# the validation helpers live with the tests
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+# run from a checkout: the package lives in src/, the validation helpers in tests/
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+from surfaceflow.grid import GridSpec, ScalarField, coordinate_arrays  # noqa: E402
+from surfaceflow.geometry import build_geometry  # noqa: E402
+from surfaceflow.model import FlowProblem  # noqa: E402
+from surfaceflow.solver import SolverConfig, solve  # noqa: E402
 from reference import check_natural_bc, christoffel_from_metric  # noqa: E402
 
 

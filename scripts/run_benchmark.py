@@ -9,16 +9,19 @@ Usage: python3 scripts/run_benchmark.py [--size 128] [--noise 0.0]
 """
 
 import argparse
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
-from surfaceflow.geometry import build_geometry
-from surfaceflow.io import colorize, write_ppm
-from surfaceflow.model import problem_from_frames
-from surfaceflow.solver import SolverConfig, solve
-from surfaceflow.synth import SCENE_NAMES, make_scene, render
+# run from a checkout: the package lives in src/
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+from surfaceflow.geometry import build_geometry  # noqa: E402
+from surfaceflow.io import colorize, write_ppm  # noqa: E402
+from surfaceflow.model import problem_from_frames  # noqa: E402
+from surfaceflow.solver import SolverConfig, solve  # noqa: E402
+from surfaceflow.synth import SCENE_NAMES, make_scene, render  # noqa: E402
 
 
 def evaluate(name, size, noise, alpha, method, seed):

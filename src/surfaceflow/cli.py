@@ -107,7 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_flow.add_argument("--alpha", type=_positive_float, default=10.0)
     p_flow.add_argument("--h", type=_positive_float, default=None, help="override grid spacing")
     p_flow.add_argument("--dt", type=_positive_float, default=None, help="override frame step")
-    p_flow.add_argument("--method", default="sor", choices=tuple(METHOD_ALIASES))
+    p_flow.add_argument("--method", default="sor", type=str.lower, choices=tuple(METHOD_ALIASES))
     p_flow.add_argument("--omega", type=float, default=1.9)
     p_flow.add_argument("--tol", type=_positive_float, default=1e-6)
     p_flow.add_argument("--max-iter", type=int, default=50000)

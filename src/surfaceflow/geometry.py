@@ -38,9 +38,6 @@ class SurfaceGeometry:
     z: ScalarField
     dz1: ScalarField
     dz2: ScalarField
-    z11: ScalarField
-    z12: ScalarField
-    z22: ScalarField
     g11: ScalarField
     g12: ScalarField
     g22: ScalarField
@@ -117,9 +114,6 @@ def build_geometry(
         z=z,
         dz1=wrap(a1),
         dz2=wrap(a2),
-        z11=hz.d11,
-        z12=hz.d12,
-        z22=hz.d22,
         g11=wrap(g11),
         g12=wrap(g12),
         g22=wrap(g22),

@@ -8,7 +8,9 @@ Interior derivatives use the symmetric three-point stencil
 ``(v[i+1] - v[i-1]) / (2h)``; the outermost rows/columns fall back to
 first-order one-sided differences so every operation stays local.  The
 adjoint (transpose) of each difference operator is provided as well, which
-is what makes exact gradients of quadratic grid functionals possible.
+is what makes exact gradients of quadratic grid functionals possible.  Each
+stencil is written once, along axis 0; the x1 versions apply it to the
+transposed array.
 """
 
 from __future__ import annotations
@@ -145,16 +147,6 @@ def _require_3x3(values: np.ndarray) -> None:
         raise ValueError(f"differences need at least a 3x3 field, got shape {values.shape}")
 
 
-def diff_x1_array(values: np.ndarray, h: float) -> np.ndarray:
-    """d/dx1 (along axis 1): central interior, one-sided first-order boundary."""
-    _require_3x3(values)
-    out = np.empty_like(values)
-    out[:, 1:-1] = (values[:, 2:] - values[:, :-2]) / (2.0 * h)
-    out[:, 0] = (values[:, 1] - values[:, 0]) / h
-    out[:, -1] = (values[:, -1] - values[:, -2]) / h
-    return out
-
-
 def diff_x2_array(values: np.ndarray, h: float) -> np.ndarray:
     """d/dx2 (along axis 0): central interior, one-sided first-order boundary."""
     _require_3x3(values)
@@ -162,20 +154,6 @@ def diff_x2_array(values: np.ndarray, h: float) -> np.ndarray:
     out[1:-1, :] = (values[2:, :] - values[:-2, :]) / (2.0 * h)
     out[0, :] = (values[1, :] - values[0, :]) / h
     out[-1, :] = (values[-1, :] - values[-2, :]) / h
-    return out
-
-
-def diff_x1_adjoint_array(s: np.ndarray, h: float) -> np.ndarray:
-    """Transpose of :func:`diff_x1_array` as a linear map, same grid."""
-    _require_3x3(s)
-    out = np.zeros_like(s)
-    c = 1.0 / (2.0 * h)
-    out[:, 2:] += s[:, 1:-1] * c
-    out[:, :-2] -= s[:, 1:-1] * c
-    out[:, 1] += s[:, 0] / h
-    out[:, 0] -= s[:, 0] / h
-    out[:, -1] += s[:, -1] / h
-    out[:, -2] -= s[:, -1] / h
     return out
 
 
@@ -193,23 +171,25 @@ def diff_x2_adjoint_array(s: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def _diff2_axis1(values: np.ndarray, h: float) -> np.ndarray:
-    out = np.empty_like(values)
-    h2 = h * h
-    out[:, 1:-1] = (values[:, 2:] - 2.0 * values[:, 1:-1] + values[:, :-2]) / h2
-    # boundary columns reuse the nearest interior 3-point stencil
-    out[:, 0] = (values[:, 2] - 2.0 * values[:, 1] + values[:, 0]) / h2
-    out[:, -1] = (values[:, -1] - 2.0 * values[:, -2] + values[:, -3]) / h2
-    return out
-
-
-def _diff2_axis0(values: np.ndarray, h: float) -> np.ndarray:
+def _diff2_x2_array(values: np.ndarray, h: float) -> np.ndarray:
+    """d^2/dx2^2 (along axis 0), central interior."""
     out = np.empty_like(values)
     h2 = h * h
     out[1:-1, :] = (values[2:, :] - 2.0 * values[1:-1, :] + values[:-2, :]) / h2
+    # boundary rows reuse the nearest interior 3-point stencil
     out[0, :] = (values[2, :] - 2.0 * values[1, :] + values[0, :]) / h2
     out[-1, :] = (values[-1, :] - 2.0 * values[-2, :] + values[-3, :]) / h2
     return out
+
+
+def diff_x1_array(values: np.ndarray, h: float) -> np.ndarray:
+    """d/dx1 (along axis 1): :func:`diff_x2_array` on the transpose."""
+    return diff_x2_array(values.T, h).T
+
+
+def diff_x1_adjoint_array(s: np.ndarray, h: float) -> np.ndarray:
+    """Transpose of :func:`diff_x1_array` as a linear map, same grid."""
+    return diff_x2_adjoint_array(s.T, h).T
 
 
 # ---------------------------------------------------------------------------
@@ -243,18 +223,17 @@ def diff_t(frame_a: ScalarField, frame_b: ScalarField, dt: float | None = None) 
 
 @dataclass(frozen=True, eq=False)
 class Hessian:
-    """Second derivatives d11, d12, d21, d22; d21 is d12 (computed once)."""
+    """Second derivatives d11, d12, d22; d12 also stands for d21."""
 
     d11: ScalarField
     d12: ScalarField
-    d21: ScalarField
     d22: ScalarField
 
 
 def hessian(field: ScalarField) -> Hessian:
     """Second central differences; mixed derivative is diff_x2(diff_x1(.))."""
     h = field.spec.h
-    d11 = ScalarField(field.spec, _diff2_axis1(field.values, h))
-    d22 = ScalarField(field.spec, _diff2_axis0(field.values, h))
+    d11 = ScalarField(field.spec, _diff2_x2_array(field.values.T, h).T)
+    d22 = ScalarField(field.spec, _diff2_x2_array(field.values, h))
     d12 = diff_x2(diff_x1(field))
-    return Hessian(d11=d11, d12=d12, d21=d12, d22=d22)
+    return Hessian(d11=d11, d12=d12, d22=d22)

@@ -103,31 +103,14 @@ def ofc_residual(problem: FlowProblem, u: VectorField) -> ScalarField:
     """Pulled-back optical-flow-constraint residual fx1*u1 + fx2*u2 + ft."""
     if u.spec != problem.spec:
         raise ValueError("flow field does not match the problem grid spec")
-    r = (
-        problem.fx1.values * u.u1.values
-        + problem.fx2.values * u.u2.values
-        + problem.ft.values
-    )
-    return ScalarField(problem.spec, r)
+    return ScalarField(problem.spec, _residual_array(problem, u.u1.values, u.u2.values))
 
 
 def energy(problem: FlowProblem, u: VectorField) -> float:
     """Discrete energy value; the quantity every solver step must not increase."""
     if u.spec != problem.spec:
         raise ValueError("flow field does not match the problem grid spec")
-    geom = problem.geom
-    u1, u2 = u.u1.values, u.u2.values
-    r = (
-        problem.fx1.values * u1
-        + problem.fx2.values * u2
-        + problem.ft.values
-    )
-    d11, d12, d21, d22 = _covd_arrays(geom, u1, u2)
-    w = _quad_weights(geom)
-    total = np.sum(
-        w * (problem.alpha * r * r + d11 * d11 + d12 * d12 + d21 * d21 + d22 * d22)
-    )
-    return 0.5 * float(total)
+    return _energy_arrays(problem, u.u1.values, u.u2.values)
 
 
 def energy_gradient(problem: FlowProblem, u: VectorField) -> VectorField:
@@ -142,19 +125,35 @@ def _quad_weights(geom: SurfaceGeometry) -> np.ndarray:
     return geom.sqrt_detg.values * (geom.spec.h * geom.spec.h)
 
 
+def _residual_array(problem: FlowProblem, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    return problem.fx1.values * u1 + problem.fx2.values * u2 + problem.ft.values
+
+
+def _christoffel_arrays(geom: SurfaceGeometry):
+    """G^1_11, G^1_12, G^1_22, G^2_11, G^2_12, G^2_22 as plain arrays."""
+    names = ("gamma1_11", "gamma1_12", "gamma1_22", "gamma2_11", "gamma2_12", "gamma2_22")
+    return tuple(getattr(geom, name).values for name in names)
+
+
 def _covd_arrays(geom: SurfaceGeometry, u1: np.ndarray, u2: np.ndarray):
     h = geom.spec.h
-    c1_11 = geom.gamma1_11.values
-    c1_12 = geom.gamma1_12.values
-    c1_22 = geom.gamma1_22.values
-    c2_11 = geom.gamma2_11.values
-    c2_12 = geom.gamma2_12.values
-    c2_22 = geom.gamma2_22.values
+    c1_11, c1_12, c1_22, c2_11, c2_12, c2_22 = _christoffel_arrays(geom)
     d11 = diff_x1_array(u1, h) + c1_11 * u1 + c1_12 * u2
     d12 = diff_x2_array(u1, h) + c1_12 * u1 + c1_22 * u2
     d21 = diff_x1_array(u2, h) + c2_11 * u1 + c2_12 * u2
     d22 = diff_x2_array(u2, h) + c2_12 * u1 + c2_22 * u2
     return d11, d12, d21, d22
+
+
+def _energy_arrays(problem: FlowProblem, u1: np.ndarray, u2: np.ndarray) -> float:
+    """:func:`energy` on plain arrays, for callers that hold the flow as arrays."""
+    r = _residual_array(problem, u1, u2)
+    d11, d12, d21, d22 = _covd_arrays(problem.geom, u1, u2)
+    w = _quad_weights(problem.geom)
+    total = np.sum(
+        w * (problem.alpha * r * r + d11 * d11 + d12 * d12 + d21 * d21 + d22 * d22)
+    )
+    return 0.5 * float(total)
 
 
 def _gradient_arrays(problem: FlowProblem, u1: np.ndarray, u2: np.ndarray):
@@ -169,13 +168,7 @@ def _gradient_arrays(problem: FlowProblem, u1: np.ndarray, u2: np.ndarray):
     w = _quad_weights(geom)
     d11, d12, d21, d22 = _covd_arrays(geom, u1, u2)
     s11, s12, s21, s22 = w * d11, w * d12, w * d21, w * d22
-
-    c1_11 = geom.gamma1_11.values
-    c1_12 = geom.gamma1_12.values
-    c1_22 = geom.gamma1_22.values
-    c2_11 = geom.gamma2_11.values
-    c2_12 = geom.gamma2_12.values
-    c2_22 = geom.gamma2_22.values
+    c1_11, c1_12, c1_22, c2_11, c2_12, c2_22 = _christoffel_arrays(geom)
 
     g1 = (
         diff_x1_adjoint_array(s11, h)
@@ -194,9 +187,8 @@ def _gradient_arrays(problem: FlowProblem, u1: np.ndarray, u2: np.ndarray):
         + c2_22 * s22
     )
 
-    fx1, fx2, ft = problem.fx1.values, problem.fx2.values, problem.ft.values
     aw = problem.alpha * w
-    r = fx1 * u1 + fx2 * u2 + ft
-    g1 = g1 + aw * r * fx1
-    g2 = g2 + aw * r * fx2
+    r = _residual_array(problem, u1, u2)
+    g1 = g1 + aw * r * problem.fx1.values
+    g2 = g2 + aw * r * problem.fx2.values
     return g1, g2

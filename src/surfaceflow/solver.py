@@ -19,23 +19,27 @@ same-parity neighbours).
 The same separation makes the 2x2 blocks recoverable exactly by probing:
 applying A to per-color indicator fields reads off a11, a12, a22 without
 ever forming the matrix.
+
+The one operator is the gradient itself, and A p = grad E(p) - b.  Counted
+in gradient applies, a solve that iterates costs 34 at setup (the initial
+gradient, b and 32 probes), then 16 per SOR sweep (one after each color
+update; the last is the sweep's residual and the next sweep's first input)
+or 1 per CG iteration.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import VectorField
-from .model import FlowProblem, energy, _gradient_arrays
+from .model import FlowProblem, _energy_arrays, _gradient_arrays
 
 __all__ = [
     "METHOD_ALIASES",
     "SolverConfig",
     "SolverReport",
-    "LinearSystem",
-    "assemble",
     "solve",
 ]
 
@@ -101,53 +105,8 @@ class SolverReport:
             )
 
 
-@dataclass(eq=False)
-class LinearSystem:
-    """Matrix-free view grad E(u) = A u + b of one problem's gradient."""
-
-    problem: FlowProblem
-    b1: np.ndarray = field(init=False, repr=False)
-    b2: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        zero = np.zeros(self.problem.spec.shape)
-        self.b1, self.b2 = _gradient_arrays(self.problem, zero, zero)
-
-    def apply(self, u1: np.ndarray, u2: np.ndarray):
-        """A (u1, u2), the homogeneous part of the gradient."""
-        g1, g2 = _gradient_arrays(self.problem, u1, u2)
-        return g1 - self.b1, g2 - self.b2
-
-    def gradient(self, u1: np.ndarray, u2: np.ndarray):
-        return _gradient_arrays(self.problem, u1, u2)
-
-    def block_inverse(self):
-        """Inverses (i11, i12, i22) of A's per-point 2x2 diagonal blocks, probed exactly."""
-        shape = self.problem.spec.shape
-        a11 = np.empty(shape)
-        a12 = np.empty(shape)
-        a22 = np.empty(shape)
-        zero = np.zeros(shape)
-        for a in range(4):
-            for b in range(4):
-                sel = (slice(a, None, 4), slice(b, None, 4))
-                e = np.zeros(shape)
-                e[sel] = 1.0
-                y1, y2 = self.apply(e, zero)
-                a11[sel] = y1[sel]
-                a12[sel] = y2[sel]
-                y1, y2 = self.apply(zero, e)
-                a22[sel] = y2[sel]
-        det = a11 * a22 - a12 * a12
-        # stencil rows touched by only one component keep the columns of
-        # the point block linearly independent, so the blocks are SPD
-        if not (np.all(a11 > 0) and np.all(det > 0)):
-            raise RuntimeError("probed diagonal blocks are not positive definite")
-        return a22 / det, -a12 / det, a11 / det
-
-
-def assemble(problem: FlowProblem) -> LinearSystem:
-    return LinearSystem(problem)
+# the 16 colors (row mod 4, col mod 4), row-major
+_COLORS = tuple((slice(a, None, 4), slice(b, None, 4)) for a in range(4) for b in range(4))
 
 
 def solve(
@@ -174,23 +133,25 @@ def solve(
         u1 = u0.u1.values.copy()
         u2 = u0.u2.values.copy()
 
-    system = assemble(problem)
-    e_initial = _energy_of(problem, u1, u2)
+    e_initial = _energy_arrays(problem, u1, u2)
     trace = [e_initial] if track_energy else None
 
-    g1, g2 = system.gradient(u1, u2)
-    res = _max_norm(g1, g2)
+    g = _gradient_arrays(problem, u1, u2)
+    res = _max_norm(*g)
     if res <= config.tol:
         return _finish(
             problem, config, u1, u2, True, 0, e_initial, e_initial, res, trace
         )
 
+    zero = np.zeros(spec.shape)
+    b = _gradient_arrays(problem, zero, zero)
+    blocks = _inverse_blocks(problem, b)
     if config.method == "sor":
-        result = _solve_sor(problem, system, config, u1, u2, trace)
+        result = _solve_sor(problem, config, g, blocks, u1, u2, trace)
     else:
-        result = _solve_cg(problem, system, config, u1, u2, trace)
+        result = _solve_cg(problem, config, g, b, blocks, u1, u2, trace)
     converged, iterations, u1, u2, res = result
-    e_final = _energy_of(problem, u1, u2)
+    e_final = _energy_arrays(problem, u1, u2)
     return _finish(
         problem, config, u1, u2, converged, iterations, e_initial, e_final, res, trace
     )
@@ -210,50 +171,73 @@ def _finish(problem, config, u1, u2, converged, iterations, e0, e1, res, trace):
     return flow, report
 
 
-def _energy_of(problem: FlowProblem, u1: np.ndarray, u2: np.ndarray) -> float:
-    return energy(problem, VectorField.from_arrays(problem.spec, u1, u2))
-
-
 def _max_norm(g1: np.ndarray, g2: np.ndarray) -> float:
     return float(max(np.max(np.abs(g1)), np.max(np.abs(g2))))
 
 
-def _solve_sor(problem, system, config, u1, u2, trace):
-    """16-color exact block SOR; colors visited row-major in (mod 4, mod 4)."""
-    i11, i12, i22 = system.block_inverse()
+def _apply(problem, b, p1, p2):
+    """A (p1, p2) = grad E(p) - b, the homogeneous part of the gradient."""
+    g1, g2 = _gradient_arrays(problem, p1, p2)
+    return g1 - b[0], g2 - b[1]
+
+
+def _inverse_blocks(problem, b):
+    """Inverses (i11, i12, i22) of A's per-point 2x2 diagonal blocks, probed exactly."""
+    shape = problem.spec.shape
+    a11 = np.empty(shape)
+    a12 = np.empty(shape)
+    a22 = np.empty(shape)
+    zero = np.zeros(shape)
+    for sel in _COLORS:
+        e = np.zeros(shape)
+        e[sel] = 1.0
+        y1, y2 = _apply(problem, b, e, zero)
+        a11[sel] = y1[sel]
+        a12[sel] = y2[sel]
+        y1, y2 = _apply(problem, b, zero, e)
+        a22[sel] = y2[sel]
+    det = a11 * a22 - a12 * a12
+    # stencil rows touched by only one component keep the columns of
+    # the point block linearly independent, so the blocks are SPD
+    if not (np.all(a11 > 0) and np.all(det > 0)):
+        raise RuntimeError("probed diagonal blocks are not positive definite")
+    return a22 / det, -a12 / det, a11 / det
+
+
+def _solve_sor(problem, config, g, blocks, u1, u2, trace):
+    """16-color exact block SOR from the gradient ``g`` at the initial guess."""
+    i11, i12, i22 = blocks
+    g1, g2 = g
     omega = config.omega
 
     converged = False
     iterations = 0
     res = np.inf
     for iterations in range(1, config.max_iter + 1):
-        for a in range(4):
-            for b in range(4):
-                sel = (slice(a, None, 4), slice(b, None, 4))
-                g1, g2 = system.gradient(u1, u2)
-                gb1 = g1[sel]
-                gb2 = g2[sel]
-                u1[sel] -= omega * (i11[sel] * gb1 + i12[sel] * gb2)
-                u2[sel] -= omega * (i12[sel] * gb1 + i22[sel] * gb2)
-        g1, g2 = system.gradient(u1, u2)
+        for sel in _COLORS:
+            gb1 = g1[sel]
+            gb2 = g2[sel]
+            u1[sel] -= omega * (i11[sel] * gb1 + i12[sel] * gb2)
+            u2[sel] -= omega * (i12[sel] * gb1 + i22[sel] * gb2)
+            g1, g2 = _gradient_arrays(problem, u1, u2)
         res = _max_norm(g1, g2)
         if trace is not None:
-            trace.append(_energy_of(problem, u1, u2))
+            trace.append(_energy_arrays(problem, u1, u2))
         if res <= config.tol:
             converged = True
             break
     return converged, iterations, u1, u2, res
 
 
-def _solve_cg(problem, system, config, u1, u2, trace):
-    """Conjugate gradients on A u = -b, preconditioned by the 2x2 blocks."""
-    i11, i12, i22 = system.block_inverse()
+def _solve_cg(problem, config, g, b, blocks, u1, u2, trace):
+    """Conjugate gradients on A u = -b from the gradient ``g`` at the initial
+    guess, preconditioned by the 2x2 blocks."""
+    i11, i12, i22 = blocks
 
     def precond(r1, r2):
         return i11 * r1 + i12 * r2, i12 * r1 + i22 * r2
 
-    g1, g2 = system.gradient(u1, u2)
-    r1, r2 = -g1, -g2
+    r1, r2 = -g[0], -g[1]
     z1, z2 = precond(r1, r2)
     p1, p2 = z1.copy(), z2.copy()
     rz = float(np.sum(r1 * z1) + np.sum(r2 * z2))
@@ -262,7 +246,7 @@ def _solve_cg(problem, system, config, u1, u2, trace):
     iterations = 0
     res = _max_norm(r1, r2)
     for iterations in range(1, config.max_iter + 1):
-        q1, q2 = system.apply(p1, p2)
+        q1, q2 = _apply(problem, b, p1, p2)
         p_dot_q = float(np.sum(p1 * q1) + np.sum(p2 * q2))
         if p_dot_q <= 0.0:
             # zero-curvature direction of the semi-definite system; the
@@ -276,7 +260,7 @@ def _solve_cg(problem, system, config, u1, u2, trace):
         r2 -= step * q2
         res = _max_norm(r1, r2)
         if trace is not None:
-            trace.append(_energy_of(problem, u1, u2))
+            trace.append(_energy_arrays(problem, u1, u2))
         if res <= config.tol:
             converged = True
             break

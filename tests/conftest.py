@@ -5,7 +5,7 @@ import pytest
 
 from surfaceflow.grid import GridSpec, ScalarField, VectorField
 from surfaceflow.geometry import build_geometry
-from surfaceflow.model import FlowProblem
+from surfaceflow.model import FlowProblem, energy_gradient
 
 
 def random_field(spec: GridSpec, rng, scale: float = 1.0) -> ScalarField:
@@ -49,6 +49,19 @@ def random_problem(spec: GridSpec, rng, alpha: float = 10.0, curved: bool = Fals
         ft=random_field(spec, rng),
         alpha=alpha,
     )
+
+
+def affine_parts(prob: FlowProblem):
+    """The energy gradient as grad E(w) = A w + b: returns b = grad E(0) and
+    the map w -> A w = grad E(w) - b, both through the public gradient."""
+    zero = VectorField.zeros(prob.spec)
+    b = energy_gradient(prob, zero)
+
+    def apply(w1, w2):
+        g = energy_gradient(prob, VectorField.from_arrays(prob.spec, w1, w2))
+        return g.u1.values - b.u1.values, g.u2.values - b.u2.values
+
+    return b, apply
 
 
 @pytest.fixture

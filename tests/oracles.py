@@ -1,6 +1,6 @@
 """Independently written reference implementations used as test oracles.
 
-Everything in this module is assembled from first principles with scipy
+Everything in this module is built from first principles with scipy
 sparse matrices, deliberately NOT sharing code with the package under test
 beyond the raw stencil definitions (central differences inside, one-sided
 first-order differences on the boundary).

@@ -137,6 +137,28 @@ class TestFirstDerivatives:
             rhs = float(np.sum(v * adj(s, 0.5)))
             assert lhs == pytest.approx(rhs, rel=1e-13, abs=1e-13)
 
+    def test_match_sparse_oracle(self, rng):
+        # every stencil and adjoint against kron-built matrices on a
+        # non-square grid, boundary rows and columns included
+        import scipy.sparse as sp
+        from oracles import stencil_1d
+
+        height, width, h = 11, 7, 0.5
+        d1 = sp.kron(sp.identity(height), stencil_1d(width, h)).tocsr()
+        d2 = sp.kron(stencil_1d(height, h), sp.identity(width)).tocsr()
+        for _ in range(5):
+            v = rng.standard_normal((height, width))
+            for mine, mat in (
+                (diff_x1_array, d1),
+                (diff_x2_array, d2),
+                (diff_x1_adjoint_array, d1.T),
+                (diff_x2_adjoint_array, d2.T),
+            ):
+                ref = (mat @ v.ravel()).reshape(height, width)
+                out = mine(v, h)
+                assert out.shape == (height, width)
+                assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
+
 
 class TestDiffT:
     def test_identical_frames(self):
@@ -174,7 +196,7 @@ class TestHessian:
         spec = GridSpec(6, 6)
         f = field_from(spec, lambda x1, x2: 2.0 * x1 - 3.0 * x2 + 1.0)
         hess = hessian(f)
-        for part in (hess.d11, hess.d12, hess.d21, hess.d22):
+        for part in (hess.d11, hess.d12, hess.d22):
             assert np.allclose(part.values, 0.0, atol=1e-13)
 
     def test_quadratic_bowl(self):
@@ -191,10 +213,3 @@ class TestHessian:
         f = field_from(spec, lambda x1, x2: x1 * x2)
         hess = hessian(f)
         assert np.allclose(hess.d12.values[1:-1, 1:-1], 1.0, atol=1e-12)
-
-    def test_mixed_symmetric_exactly(self):
-        spec = GridSpec(5, 6)
-        rng = np.random.default_rng(3)
-        f = ScalarField(spec, rng.standard_normal((6, 5)))
-        hess = hessian(f)
-        assert hess.d21 is hess.d12
