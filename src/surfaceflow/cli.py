@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .geometry import build_geometry
-from .grid import GridSpec, VectorField
+from .grid import VectorField
 from .io import (
     FloatImageError,
     FlowFileError,
@@ -105,8 +104,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--frame-b", type=int, default=None, help="second frame index j (default i+1)"
     )
     p_flow.add_argument("--alpha", type=_positive_float, default=10.0)
-    p_flow.add_argument("--h", type=_positive_float, default=None, help="override grid spacing")
-    p_flow.add_argument("--dt", type=_positive_float, default=None, help="override frame step")
     p_flow.add_argument("--method", default="sor", type=str.lower, choices=tuple(METHOD_ALIASES))
     p_flow.add_argument("--omega", type=float, default=1.9)
     p_flow.add_argument("--tol", type=_positive_float, default=1e-6)
@@ -225,22 +222,11 @@ def _frame_pair(args, manifest: Manifest) -> tuple[int, int]:
 
 def _load_problem(args):
     manifest = read_manifest(args.manifest)
-    if getattr(args, "h", None) is not None or getattr(args, "dt", None) is not None:
-        spec = manifest.spec
-        spec = GridSpec(
-            width=spec.width,
-            height=spec.height,
-            h=args.h if args.h is not None else spec.h,
-            dt=args.dt if args.dt is not None else spec.dt,
-        )
-        manifest = replace(manifest, spec=spec)
     i, j = _frame_pair(args, manifest)
     frames, heights = load_sequence(manifest)
+    # the energy reads frame i's geometry only, never the height rate
     step = (j - i) * manifest.spec.dt
-    if manifest.static_surface:
-        geom = build_geometry(heights[i])
-    else:
-        geom = build_geometry(heights[i], heights[j], dt=step)
+    geom = build_geometry(heights[i])
     problem = problem_from_frames(frames[i], frames[j], geom, alpha=args.alpha, dt=step)
     return manifest, problem, i, j
 

@@ -24,7 +24,6 @@ __all__ = [
     "GridSpec",
     "ScalarField",
     "VectorField",
-    "Hessian",
     "diff_x1",
     "diff_x2",
     "diff_t",
@@ -48,10 +47,12 @@ class GridSpec:
                 f"grid must be at least 3x3 for central differences, "
                 f"got {self.width}x{self.height}"
             )
-        if not self.h > 0:
-            raise ValueError(f"grid spacing must be positive, got {self.h}")
-        if not self.dt > 0:
-            raise ValueError(f"temporal displacement must be positive, got {self.dt}")
+        if not (np.isfinite(self.h) and self.h > 0):
+            raise ValueError(f"grid spacing must be finite and positive, got {self.h}")
+        if not (np.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(
+                f"temporal displacement must be finite and positive, got {self.dt}"
+            )
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -132,9 +133,6 @@ class VectorField:
     @classmethod
     def from_arrays(cls, spec: GridSpec, u1: np.ndarray, u2: np.ndarray) -> "VectorField":
         return cls(spec, ScalarField(spec, u1), ScalarField(spec, u2))
-
-    def magnitude(self) -> np.ndarray:
-        return np.hypot(self.u1.values, self.u2.values)
 
 
 # ---------------------------------------------------------------------------
@@ -221,19 +219,10 @@ def diff_t(frame_a: ScalarField, frame_b: ScalarField, dt: float | None = None) 
     return ScalarField(frame_a.spec, (frame_b.values - frame_a.values) / dt)
 
 
-@dataclass(frozen=True, eq=False)
-class Hessian:
-    """Second derivatives d11, d12, d22; d12 also stands for d21."""
-
-    d11: ScalarField
-    d12: ScalarField
-    d22: ScalarField
-
-
-def hessian(field: ScalarField) -> Hessian:
-    """Second central differences; mixed derivative is diff_x2(diff_x1(.))."""
+def hessian(field: ScalarField) -> tuple[ScalarField, ScalarField, ScalarField]:
+    """Second central differences (d11, d12, d22); d12 = diff_x2(diff_x1(.))
+    also stands for d21."""
     h = field.spec.h
     d11 = ScalarField(field.spec, _diff2_x2_array(field.values.T, h).T)
     d22 = ScalarField(field.spec, _diff2_x2_array(field.values, h))
-    d12 = diff_x2(diff_x1(field))
-    return Hessian(d11=d11, d12=d12, d22=d22)
+    return d11, diff_x2(diff_x1(field)), d22

@@ -252,8 +252,8 @@ def read_float_image(path) -> np.ndarray:
         raise FloatImageError(f"{path}: malformed header: {exc}") from exc
     if width <= 0 or height <= 0:
         raise FloatImageError(f"{path}: non-positive dimensions {width}x{height}")
-    if scale == 0.0:
-        raise FloatImageError(f"{path}: zero scale token")
+    if not (np.isfinite(scale) and scale != 0.0):
+        raise FloatImageError(f"{path}: scale token must be finite and non-zero, got {scale}")
     expected = 4 * width * height
     payload = data[offset:]
     if len(payload) != expected:

@@ -198,9 +198,10 @@ def _inverse_blocks(problem, b):
         a22[sel] = y2[sel]
     det = a11 * a22 - a12 * a12
     # stencil rows touched by only one component keep the columns of
-    # the point block linearly independent, so the blocks are SPD
+    # the point block linearly independent, so the blocks are SPD unless
+    # the input overflowed them (the weight h^2 of a huge spacing)
     if not (np.all(a11 > 0) and np.all(det > 0)):
-        raise RuntimeError("probed diagonal blocks are not positive definite")
+        raise ValueError("probed diagonal blocks are not positive definite")
     return a22 / det, -a12 / det, a11 / det
 
 

@@ -6,8 +6,9 @@ evolving) graph surface:
     f(x, t_k) = F(beta^{-1}(x, t_k)),
 
 so brightness is constant along trajectories by construction, exactly, with
-no integration error.  Pattern, surfaces and motions are all closed-form,
-which also gives exact derivative and velocity fields.  Ground truth is the
+no integration error.  Pattern, surfaces and motions are all closed-form;
+motions give exact velocity fields, and the evolving :class:`MovingBump`
+also gives its exact height gradient and height rate.  Ground truth is the
 coordinate velocity of the motion (the quantity the solver estimates),
 sampled per grid point and per frame.
 
@@ -113,13 +114,6 @@ class Flat:
     def height(self, x1, x2, t):
         return np.zeros(np.broadcast(x1, x2).shape)
 
-    def height_t(self, x1, x2, t):
-        return np.zeros(np.broadcast(x1, x2).shape)
-
-    def height_grad(self, x1, x2, t):
-        shape = np.broadcast(x1, x2).shape
-        return np.zeros(shape), np.zeros(shape)
-
 
 @dataclass(frozen=True)
 class Tilt:
@@ -131,13 +125,6 @@ class Tilt:
 
     def height(self, x1, x2, t):
         return self.s1 * x1 + self.s2 * x2
-
-    def height_t(self, x1, x2, t):
-        return np.zeros(np.broadcast(x1, x2).shape)
-
-    def height_grad(self, x1, x2, t):
-        shape = np.broadcast(x1, x2).shape
-        return np.full(shape, self.s1), np.full(shape, self.s2)
 
 
 @dataclass(frozen=True)
@@ -152,14 +139,6 @@ class Paraboloid:
         r1 = x1 - self.center[0]
         r2 = x2 - self.center[1]
         return 0.5 * self.curvature * (r1 * r1 + r2 * r2)
-
-    def height_t(self, x1, x2, t):
-        return np.zeros(np.broadcast(x1, x2).shape)
-
-    def height_grad(self, x1, x2, t):
-        return self.curvature * (x1 - self.center[0]), self.curvature * (
-            x2 - self.center[1]
-        )
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from surfaceflow.grid import GridSpec, ScalarField, VectorField
 from surfaceflow.geometry import build_geometry
 from surfaceflow.model import FlowProblem, energy_gradient
+
+# the same examples on every run, and no example database written to disk
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 def random_field(spec: GridSpec, rng, scale: float = 1.0) -> ScalarField:

@@ -5,8 +5,17 @@ import numpy as np
 import pytest
 
 from surfaceflow.cli import angular_error_deg, endpoint_error, main
-from surfaceflow.io import colorize, read_flow, read_manifest, write_flow, write_ppm
-from surfaceflow.solver import METHOD_ALIASES
+from surfaceflow.geometry import build_geometry
+from surfaceflow.io import (
+    colorize,
+    load_sequence,
+    read_flow,
+    read_manifest,
+    write_flow,
+    write_ppm,
+)
+from surfaceflow.model import problem_from_frames
+from surfaceflow.solver import METHOD_ALIASES, SolverConfig, solve
 
 
 def run_cli(capsys, *argv):
@@ -267,6 +276,47 @@ class TestFlowCommand:
         # a static scene has no temporal change, so the flow is exactly zero
         u1, u2 = read_flow(out / "flow_0057_0058.flo")
         assert np.all(u1 == 0.0) and np.all(u2 == 0.0)
+
+    def test_frame_b_pair_ignores_height_rate(self, tmp_path, capsys):
+        scene = tmp_path / "bump"
+        code, _ = run_cli(capsys, "synth", "moving-bump", "--out", str(scene), "--size", "17")
+        assert code == 0
+        out = tmp_path / "run"
+        code, report = run_cli(
+            capsys,
+            "flow",
+            "--manifest",
+            str(scene / "manifest.txt"),
+            "--out",
+            str(out),
+            "--frame",
+            "0",
+            "--frame-b",
+            "2",
+        )
+        assert code == 0
+        assert report["frame_b"] == "2"
+        # the library with the height rate of frames 0 -> 2 gives the same
+        # bytes as the CLI, which builds the geometry from height map 0 alone
+        frames, heights = load_sequence(read_manifest(scene / "manifest.txt"))
+        geom = build_geometry(heights[0], heights[2], dt=2.0)
+        flow, _ = solve(problem_from_frames(frames[0], frames[2], geom, dt=2.0), SolverConfig())
+        write_flow(tmp_path / "library.flo", flow)
+        assert (out / "flow_0000_0002.flo").read_bytes() == (tmp_path / "library.flo").read_bytes()
+
+    # an infinite step is a manifest error; a finite spacing whose square
+    # overflows the quadrature weight is a validation error
+    @pytest.mark.parametrize(
+        "line, value, expected", [("dt", "inf", 4), ("h", "inf", 4), ("h", "1e160", 2)]
+    )
+    def test_extreme_manifest_step(self, tmp_path, capsys, translation_dir, line, value, expected):
+        manifest = translation_dir / "manifest.txt"
+        text = manifest.read_text()
+        assert f"\n{line} 1.0\n" in text
+        manifest.write_text(text.replace(f"\n{line} 1.0\n", f"\n{line} {value}\n"))
+        code = main(["flow", "--manifest", str(manifest), "--out", str(tmp_path / "x")])
+        assert code == expected
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_color_flag_writes_image(self, tmp_path, capsys, translation_dir):
         out = tmp_path / "run"

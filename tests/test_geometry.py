@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surfaceflow.grid import GridSpec, ScalarField, VectorField, coordinate_arrays
 from surfaceflow.geometry import build_geometry, flat_geometry
@@ -17,6 +19,16 @@ from reference import (
 
 def make_surface(spec, fn, origin=(0.0, 0.0)):
     return build_geometry(ScalarField.from_function(spec, fn, origin=origin))
+
+
+def slopes(lo: int, hi: int):
+    """Signed slopes sign * m * 10**e with m in [1, 10) and e in [lo, hi]."""
+    return st.builds(
+        lambda sign, m, e: sign * m * 10.0**e,
+        st.sampled_from((-1.0, 1.0)),
+        st.floats(1.0, 10.0, exclude_max=True),
+        st.integers(lo, hi),
+    )
 
 
 class TestFlatGeometry:
@@ -112,6 +124,28 @@ class TestMetricIdentities:
         assert np.allclose(d, 1.0, atol=1e-12)
         assert np.allclose(b, 0.0, atol=1e-12)
         assert np.allclose(c, 0.0, atol=1e-12)
+
+    @given(s1=slopes(-150, 149), s2=slopes(-150, 149))
+    @settings(max_examples=200, deadline=None)
+    def test_inverse_metric_extreme_slopes(self, s1, s2):
+        # g * g^-1 = I pointwise, relative to the size of g, for slopes of
+        # any magnitude whose squares stay finite
+        geom = make_surface(GridSpec(4, 3), lambda x1, x2: s1 * x1 + s2 * x2)
+        g11, g12, g22 = geom.g11.values, geom.g12.values, geom.g22.values
+        i11, i12, i22 = geom.ginv11.values, geom.ginv12.values, geom.ginv22.values
+        tol = 1e-12 * np.maximum(1.0, np.abs(g11) + np.abs(g12) + np.abs(g22))
+        assert np.all(np.abs(g11 * i11 + g12 * i12 - 1.0) <= tol)
+        assert np.all(np.abs(g11 * i12 + g12 * i22) <= tol)
+        assert np.all(np.abs(g12 * i11 + g22 * i12) <= tol)
+        assert np.all(np.abs(g12 * i12 + g22 * i22 - 1.0) <= tol)
+
+    @given(s1=slopes(160, 300), s2=slopes(-150, 300))
+    @settings(max_examples=50, deadline=None)
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_slopes_rejected(self, s1, s2):
+        # squared slopes overflow to inf; the finiteness scan rejects them
+        with pytest.raises(ValueError):
+            make_surface(GridSpec(4, 3), lambda x1, x2: s1 * x1 + s2 * x2)
 
     def test_general_formula_agrees_with_closed_form(self):
         # the general Levi-Civita formula differentiates the metric fields, so
@@ -242,11 +276,6 @@ class TestSurfaceVelocity:
 
 
 class TestBuildValidation:
-    def test_spec_mismatch(self):
-        z = ScalarField.zeros(GridSpec(4, 4))
-        with pytest.raises(ValueError):
-            build_geometry(z, spec=GridSpec(5, 5))
-
     def test_z_next_mismatch(self):
         z = ScalarField.zeros(GridSpec(4, 4))
         z_next = ScalarField.zeros(GridSpec(5, 4))

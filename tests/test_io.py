@@ -81,6 +81,9 @@ class TestFloatImage:
             b"Pf\n2 2\n-1.0\n" + b"\x00" * 15,
             b"Pf\n2 2\n-1.0\n" + b"\x00" * 17,
             b"Qx\n2 2\n-1.0\n" + b"\x00" * 16,
+            b"Pf\n2 2\nnan\n" + b"\x00" * 16,
+            b"Pf\n2 2\ninf\n" + b"\x00" * 16,
+            b"Pf\n2 2\n-inf\n" + b"\x00" * 16,
         ],
     )
     def test_malformed_rejected(self, tmp_path, content):
