@@ -85,10 +85,13 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="surfaceflow",
         description="Dense optical flow for image sequences on evolving graph surfaces.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_synth = sub.add_parser("synth", help="render a synthetic scene to a directory")
+    p_synth = sub.add_parser(
+        "synth", help="render a synthetic scene to a directory", allow_abbrev=False
+    )
     p_synth.add_argument("scene", choices=SCENE_NAMES)
     p_synth.add_argument("--out", required=True, help="output directory")
     p_synth.add_argument("--size", type=int, default=65, help="grid size per axis")
@@ -97,7 +100,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--seed", type=int, default=0)
     p_synth.set_defaults(func=cmd_synth)
 
-    p_flow = sub.add_parser("flow", help="estimate flow for one frame pair")
+    p_flow = sub.add_parser(
+        "flow", help="estimate flow for one frame pair", allow_abbrev=False
+    )
     p_flow.add_argument("--manifest", required=True)
     p_flow.add_argument("--frame", type=int, default=0, help="first frame index i")
     p_flow.add_argument(
@@ -112,7 +117,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_flow.add_argument("--color", action="store_true", help="also write a PPM image")
     p_flow.set_defaults(func=cmd_flow)
 
-    p_energy = sub.add_parser("energy", help="evaluate the energy of a stored flow")
+    p_energy = sub.add_parser(
+        "energy", help="evaluate the energy of a stored flow", allow_abbrev=False
+    )
     p_energy.add_argument("--manifest", required=True)
     p_energy.add_argument("--frame", type=int, default=0)
     p_energy.add_argument("--frame-b", type=int, default=None)
@@ -120,13 +127,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p_energy.add_argument("--flow", required=True, help="flow file to evaluate")
     p_energy.set_defaults(func=cmd_energy)
 
-    p_color = sub.add_parser("color", help="render a flow file as a PPM image")
+    p_color = sub.add_parser(
+        "color", help="render a flow file as a PPM image", allow_abbrev=False
+    )
     p_color.add_argument("--flow", required=True)
     p_color.add_argument("--out", required=True, help="output PPM path")
     p_color.add_argument("--max-magnitude", type=_positive_float, default=None)
     p_color.set_defaults(func=cmd_color)
 
-    p_eval = sub.add_parser("eval", help="compare a flow file against a truth flow file")
+    p_eval = sub.add_parser(
+        "eval", help="compare a flow file against a truth flow file", allow_abbrev=False
+    )
     p_eval.add_argument("--flow", required=True)
     p_eval.add_argument("--truth", required=True)
     p_eval.set_defaults(func=cmd_eval)

@@ -67,6 +67,8 @@ class FlowProblem:
                 raise ValueError(f"{name} does not match the geometry grid spec")
         if not (np.isfinite(self.alpha) and self.alpha > 0):
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
+        if not np.all(np.isfinite(_quad_weights(self.geom))):
+            raise ValueError("quadrature weights sqrt(det g) * h^2 are not finite")
 
     @property
     def spec(self):

@@ -4,7 +4,8 @@ These functions check the package's production path from the outside: the
 general Levi-Civita formula against the closed-form graph Christoffel
 symbols, the surface form of the optical-flow constraint against the
 pulled-back residual, the natural boundary condition of converged flows,
-and brightness constancy along ground-truth trajectories.  Unlike
+brightness constancy along ground-truth trajectories, and the solver's
+probed stencil against whole-grid applies.  Unlike
 ``oracles``, they build on the package's grid stencils and containers;
 :func:`covariant_derivative` wraps the package's own covariant-derivative
 kernel, so tests of it exercise the code the energy uses.
@@ -25,7 +26,8 @@ from surfaceflow.grid import (
     diff_x1_array,
     diff_x2_array,
 )
-from surfaceflow.model import _covd_arrays
+from surfaceflow.model import FlowProblem, _covd_arrays, _gradient_arrays
+from surfaceflow.solver import SolverConfig, _STENCIL, _inverse_blocks, _probe
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +218,55 @@ def check_natural_bc(geom: SurfaceGeometry, u: VectorField) -> ScalarField:
     out[0, :] = np.maximum(out[0, :], n2[0, :])
     out[-1, :] = np.maximum(out[-1, :], n2[-1, :])
     return ScalarField(geom.spec, out)
+
+
+# ---------------------------------------------------------------------------
+# the probed stencil form of the solver's operator
+# ---------------------------------------------------------------------------
+
+
+def stencil_apply(coeffs: np.ndarray, u1: np.ndarray, u2: np.ndarray):
+    """(A u)_i(q) = sum over d, k of coeffs[d, i, k](q) u_k(q + d) on the whole
+    grid, for the offsets d of the solver's stencil and u zero off the grid."""
+    height, width = u1.shape
+    pad = np.zeros((2, height + 4, width + 4))
+    pad[0, 2:-2, 2:-2] = u1
+    pad[1, 2:-2, 2:-2] = u2
+    out = np.zeros((2, height, width))
+    for c, (dr, dc) in zip(coeffs, _STENCIL):
+        shifted = pad[:, 2 + dr : 2 + dr + height, 2 + dc : 2 + dc + width]
+        for i in range(2):
+            for k in range(2):
+                out[i] += c[i, k] * shifted[k]
+    return out[0], out[1]
+
+
+def full_apply_sor(problem: FlowProblem, config: SolverConfig, u1: np.ndarray, u2: np.ndarray):
+    """16-color exact block SOR that recomputes the whole gradient after every
+    color update: the solver's SOR before its colors read their residuals off
+    the probed stencil.  Sweeps at least once from (u1, u2), updated in place;
+    returns (converged, sweeps, u1, u2, gradient max-norm)."""
+    zero = np.zeros(problem.spec.shape)
+    b = _gradient_arrays(problem, zero, zero)
+    i11, i12, i22 = _inverse_blocks(_probe(problem, b, _STENCIL[:1])[0])
+    g1, g2 = _gradient_arrays(problem, u1, u2)
+    omega = config.omega
+    converged = False
+    res = np.inf
+    for sweeps in range(1, config.max_iter + 1):
+        for a in range(4):
+            for c in range(4):
+                sel = (slice(a, None, 4), slice(c, None, 4))
+                gb1 = g1[sel]
+                gb2 = g2[sel]
+                u1[sel] -= omega * (i11[sel] * gb1 + i12[sel] * gb2)
+                u2[sel] -= omega * (i12[sel] * gb1 + i22[sel] * gb2)
+                g1, g2 = _gradient_arrays(problem, u1, u2)
+        res = float(max(np.max(np.abs(g1)), np.max(np.abs(g2))))
+        if res <= config.tol:
+            converged = True
+            break
+    return converged, sweeps, u1, u2, res
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import filecmp
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -223,6 +224,17 @@ class TestFlowCommand:
         capsys.readouterr()
         assert code == 2
 
+    # neither a removed flag (--h) nor the prefix of a present one may be
+    # read as a flag it abbreviates
+    @pytest.mark.parametrize("flag, value", [("--h", "0.5"), ("--meth", "cg")])
+    def test_flag_prefix_is_usage_error(self, tmp_path, capsys, translation_dir, flag, value):
+        out = tmp_path / "x"
+        manifest = str(translation_dir / "manifest.txt")
+        code = main(["flow", "--manifest", manifest, "--out", str(out), flag, value])
+        assert code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_manifest_is_io_error(self, tmp_path, capsys):
         code = main(
             ["flow", "--manifest", str(tmp_path / "none.txt"), "--out", str(tmp_path / "x")]
@@ -314,9 +326,14 @@ class TestFlowCommand:
         text = manifest.read_text()
         assert f"\n{line} 1.0\n" in text
         manifest.write_text(text.replace(f"\n{line} 1.0\n", f"\n{line} {value}\n"))
-        code = main(["flow", "--manifest", str(manifest), "--out", str(tmp_path / "x")])
+        # a numpy warning before the check would escape main as an exception
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["flow", "--manifest", str(manifest), "--out", str(tmp_path / "x")])
         assert code == expected
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not (tmp_path / "x").exists()
 
     def test_color_flag_writes_image(self, tmp_path, capsys, translation_dir):
         out = tmp_path / "run"

@@ -43,6 +43,14 @@ class TestFlowProblemValidation:
         with pytest.raises(ValueError):
             FlowProblem(geom=geom, fx1=zero, fx2=zero, ft=zero, alpha=-3.0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_weights_rejected(self):
+        # h^2 overflows the quadrature weight although h itself is finite
+        spec = GridSpec(4, 4, h=1e160)
+        zero = ScalarField.zeros(spec)
+        with pytest.raises(ValueError, match="quadrature weights"):
+            FlowProblem(geom=build_geometry(zero), fx1=zero, fx2=zero, ft=zero)
+
     def test_spec_mismatch(self):
         geom = build_geometry(ScalarField.zeros(GridSpec(4, 4)))
         other = ScalarField.zeros(GridSpec(5, 4))
