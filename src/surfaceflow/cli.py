@@ -35,7 +35,7 @@ from .io import (
     write_ppm,
 )
 from .model import energy, energy_gradient, problem_from_frames
-from .solver import METHOD_ALIASES, SolverConfig, solve
+from .solver import METHOD_ALIASES, SolverConfig, _max_norm, solve
 from .synth import SCENE_NAMES, make_scene, render
 
 __all__ = ["main", "run", "endpoint_error", "angular_error_deg"]
@@ -294,9 +294,6 @@ def cmd_energy(args) -> int:
         )
     u = VectorField.from_arrays(spec, u1, u2)
     grad = energy_gradient(problem, u)
-    grad_norm = max(
-        float(np.max(np.abs(grad.u1.values))), float(np.max(np.abs(grad.u2.values)))
-    )
     print(
         _report(
             {
@@ -304,7 +301,7 @@ def cmd_energy(args) -> int:
                 "frame_b": j,
                 "alpha": float(args.alpha),
                 "energy": energy(problem, u),
-                "grad_inf_norm": grad_norm,
+                "grad_inf_norm": _max_norm(grad.u1.values, grad.u2.values),
             }
         ),
         end="",

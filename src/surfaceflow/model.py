@@ -159,7 +159,7 @@ def _energy_arrays(problem: FlowProblem, u1: np.ndarray, u2: np.ndarray) -> floa
 
 
 def _gradient_arrays(problem: FlowProblem, u1: np.ndarray, u2: np.ndarray):
-    """Adjoint assembly of the energy gradient as plain arrays.
+    """Adjoint assembly of the energy gradient as one (2, height, width) array.
 
     With s_ij = w * d_ij, the regularizer contributes the transposed stencils
     applied to s plus the Christoffel multipliers regrouped by the flow
@@ -189,8 +189,8 @@ def _gradient_arrays(problem: FlowProblem, u1: np.ndarray, u2: np.ndarray):
         + c2_22 * s22
     )
 
-    aw = problem.alpha * w
-    r = _residual_array(problem, u1, u2)
-    g1 = g1 + aw * r * problem.fx1.values
-    g2 = g2 + aw * r * problem.fx2.values
-    return g1, g2
+    awr = problem.alpha * w * _residual_array(problem, u1, u2)
+    g = np.empty((2,) + w.shape)
+    np.add(g1, awr * problem.fx1.values, out=g[0])
+    np.add(g2, awr * problem.fx2.values, out=g[1])
+    return g

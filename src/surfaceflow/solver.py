@@ -2,8 +2,7 @@
 
 The energy is quadratic, so its gradient is affine: grad E(u) = A u + b with
 A symmetric positive semi-definite and b = grad E(0).  The one operator is
-the gradient itself, A p = grad E(p) - b; both solvers stop on the max-norm
-of the gradient, which they compute matrix-free.
+the gradient itself, A p = grad E(p) - b, computed matrix-free.
 
 Every coupling in A is axis-aligned with offset at most two (the
 one-dimensional stencils composed with their adjoints) or joins the two flow
@@ -29,9 +28,20 @@ its own points only, from the probed stencil and the flow padded by two
 zeros, so that every offset is one strided view.  CG keeps the matrix-free
 apply and takes its preconditioner blocks from the period-3 probe.
 
+``solve`` is the one iteration driver.  It holds the flow as one (2, height,
+width) array and owns ``tol``, ``max_iter`` and the energy trace: it checks
+the initial guess, caps the steps at ``max_iter`` and stops once a step's
+max-norm is within ``tol``.  Each method is a step generator that sets
+itself up on its first step, then updates the flow in place and yields the
+gradient max-norm its iteration computes: SOR the true one, CG its
+recurrence residual, which drifts from the true gradient by rounding.  So
+the report's ``grad_inf_norm`` and ``converged`` read the true gradient at
+the returned flow, for both methods.
+
 Counted in gradient applies, a solve that iterates costs 2 at setup (the
 initial gradient and b), then the probe, 50 for SOR or 18 for CG, then 1 per
-SOR sweep (the residual that the stopping rule reads) or 1 per CG iteration.
+SOR sweep (the residual that the stopping rule reads) or 1 per CG iteration,
+and 1 at the end for the gradient at the returned flow.
 """
 
 from __future__ import annotations
@@ -136,51 +146,39 @@ def solve(
         config = SolverConfig()
     spec = problem.spec
     if u0 is None:
-        u1 = np.zeros(spec.shape)
-        u2 = np.zeros(spec.shape)
+        u = np.zeros((2,) + spec.shape)
     else:
         if u0.spec != spec:
             raise ValueError("initial guess does not match the problem grid spec")
-        u1 = u0.u1.values.copy()
-        u2 = u0.u2.values.copy()
+        u = np.stack((u0.u1.values, u0.u2.values))
 
-    e_initial = _energy_arrays(problem, u1, u2)
-    trace = [e_initial] if track_energy else None
-
-    g = _gradient_arrays(problem, u1, u2)
+    e_initial = _energy_arrays(problem, *u)
+    trace = [e_initial]
+    g = _gradient_arrays(problem, *u)
+    iterations = 0
+    if _max_norm(*g) > config.tol:
+        b = _gradient_arrays(problem, *np.zeros_like(u))
+        steps = _sor_steps if config.method == "sor" else _cg_steps
+        # unnamed, the generator and its buffers are freed when the loop ends
+        for iterations, res in enumerate(
+            itertools.islice(steps(problem, config, b, g, u), config.max_iter), 1
+        ):
+            if track_energy:
+                trace.append(_energy_arrays(problem, *u))
+            if res <= config.tol:
+                break
+        g = _gradient_arrays(problem, *u)
     res = _max_norm(*g)
-    if res <= config.tol:
-        return _finish(
-            problem, config, u1, u2, True, 0, e_initial, e_initial, res, trace
-        )
-
-    zero = np.zeros(spec.shape)
-    b = _gradient_arrays(problem, zero, zero)
-    if config.method == "sor":
-        coeffs = _probe(problem, b, _STENCIL)
-        result = _solve_sor(problem, config, b, coeffs, u1, u2, trace)
-    else:
-        blocks = _inverse_blocks(_probe(problem, b, _STENCIL[:1])[0])
-        result = _solve_cg(problem, config, g, b, blocks, u1, u2, trace)
-    converged, iterations, u1, u2, res = result
-    e_final = _energy_arrays(problem, u1, u2)
-    return _finish(
-        problem, config, u1, u2, converged, iterations, e_initial, e_final, res, trace
-    )
-
-
-def _finish(problem, config, u1, u2, converged, iterations, e0, e1, res, trace):
-    flow = VectorField.from_arrays(problem.spec, u1, u2)
     report = SolverReport(
         method=config.method,
-        converged=converged,
+        converged=res <= config.tol,
         iterations=iterations,
-        energy_initial=e0,
-        energy_final=e1,
+        energy_initial=e_initial,
+        energy_final=_energy_arrays(problem, *u),
         grad_inf_norm=res,
-        energy_trace=None if trace is None else tuple(trace),
+        energy_trace=tuple(trace) if track_energy else None,
     )
-    return flow, report
+    return VectorField.from_arrays(spec, *u), report
 
 
 def _max_norm(g1: np.ndarray, g2: np.ndarray) -> float:
@@ -189,10 +187,9 @@ def _max_norm(g1: np.ndarray, g2: np.ndarray) -> float:
 
 def _apply(problem, b, p1, p2):
     """A (p1, p2) = grad E(p) - b, the homogeneous part of the gradient."""
-    g1, g2 = _gradient_arrays(problem, p1, p2)
-    g1 -= b[0]
-    g2 -= b[1]
-    return g1, g2
+    g = _gradient_arrays(problem, p1, p2)
+    g -= b
+    return g
 
 
 def _probe(problem, b, offsets):
@@ -244,15 +241,15 @@ def _inverse_blocks(block):
     return a22 / det, -a12 / det, a11 / det
 
 
-def _solve_sor(problem, config, b, coeffs, u1, u2, trace):
-    """16-color exact block SOR on the probed stencil ``coeffs``."""
+def _sor_steps(problem, config, b, g, u):
+    """16-color exact block SOR on the probed stencil, from ``u`` alone (``g``
+    goes unused); each sweep copies the padded flow's interior into ``u``."""
+    coeffs = _probe(problem, b, _STENCIL)
     i11, i12, i22 = _inverse_blocks(coeffs[0])
     height, width = problem.spec.shape
     flow = np.zeros((2, height + 4, width + 4))
-    flow[0, 2:-2, 2:-2] = u1
-    flow[1, 2:-2, 2:-2] = u2
-    u1, u2 = flow[:, 2:-2, 2:-2]
-    b = np.stack(b)
+    inner = flow[:, 2:-2, 2:-2]
+    inner[...] = u
     omega = config.omega
 
     # per color: its coefficients, the flow at each stencil offset of its
@@ -268,74 +265,54 @@ def _solve_sor(problem, config, b, coeffs, u1, u2, trace):
         inverse = (i11[rows, cols], i12[rows, cols], i22[rows, cols])
         colors.append((coeffs[..., rows, cols], shifted, b[:, rows, cols], inverse))
 
-    converged = False
-    iterations = 0
-    res = np.inf
-    for iterations in range(1, config.max_iter + 1):
+    while True:
         for coeff, shifted, b_color, (j11, j12, j22) in colors:
             gb1, gb2 = b_color + np.einsum("dikyx,dkyx->iyx", coeff, np.stack(shifted))
             own = shifted[0]
             own[0] -= omega * (j11 * gb1 + j12 * gb2)
             own[1] -= omega * (j12 * gb1 + j22 * gb2)
-        res = _max_norm(*_gradient_arrays(problem, u1, u2))
-        if trace is not None:
-            trace.append(_energy_arrays(problem, u1, u2))
-        if res <= config.tol:
-            converged = True
-            break
-    return converged, iterations, u1, u2, res
+        u[...] = inner
+        yield _max_norm(*_gradient_arrays(problem, *u))
 
 
-def _solve_cg(problem, config, g, b, blocks, u1, u2, trace):
-    """Conjugate gradients on A u = -b from the gradient ``g`` at the initial
-    guess, preconditioned by the 2x2 blocks.  The vector updates write into
-    buffers allocated once."""
-    i11, i12, i22 = blocks
-    tmp = np.empty_like(u1)
+def _cg_steps(problem, config, b, g, u):
+    """Conjugate gradients on A u = -b from the gradient ``g`` at ``u``,
+    preconditioned by the 2x2 blocks; yields the recurrence residual's
+    max-norm and ends on a direction of zero curvature.  The residual is
+    ``g`` negated in place, and the vector updates write into buffers
+    allocated once."""
+    blocks = np.stack(_inverse_blocks(_probe(problem, b, _STENCIL[:1])[0]))
+    diagonal, off_diagonal = blocks[::2], blocks[1]
+    tmp = np.empty_like(u)
 
-    def precond(r1, r2, z1, z2):
-        np.multiply(i11, r1, out=z1)
-        z1 += np.multiply(i12, r2, out=tmp)
-        np.multiply(i12, r1, out=z2)
-        z2 += np.multiply(i22, r2, out=tmp)
+    def precond(r, z):
+        # z_i = inv_ii r_i + inv_12 r_k, with k the other component
+        np.multiply(diagonal, r, out=z)
+        z += np.multiply(off_diagonal, r[::-1], out=tmp)
 
-    def dot(x1, y1, x2, y2):
-        return float(np.sum(np.multiply(x1, y1, out=tmp)) + np.sum(np.multiply(x2, y2, out=tmp)))
+    def dot(x, y):
+        # one sum per component keeps each grid's pairwise rounding
+        np.multiply(x, y, out=tmp)
+        return float(np.sum(tmp[0]) + np.sum(tmp[1]))
 
-    r1, r2 = -g[0], -g[1]
-    z1, z2 = np.empty_like(r1), np.empty_like(r2)
-    precond(r1, r2, z1, z2)
-    p1, p2 = z1.copy(), z2.copy()
-    rz = dot(r1, z1, r2, z2)
-
-    converged = False
-    iterations = 0
-    res = _max_norm(r1, r2)
-    for iterations in range(1, config.max_iter + 1):
-        q1, q2 = _apply(problem, b, p1, p2)
-        p_dot_q = dot(p1, q1, p2, q2)
+    r = np.negative(g, out=g)
+    z = np.empty_like(r)
+    precond(r, z)
+    p = z.copy()
+    rz = dot(r, z)
+    while True:
+        q = _apply(problem, b, *p)
+        p_dot_q = dot(p, q)
         if p_dot_q <= 0.0:
             # zero-curvature direction of the semi-definite system; the
             # residual along it can no longer decrease
-            iterations -= 1
-            break
+            return
         step = rz / p_dot_q
-        u1 += np.multiply(step, p1, out=tmp)
-        u2 += np.multiply(step, p2, out=tmp)
-        r1 -= np.multiply(step, q1, out=tmp)
-        r2 -= np.multiply(step, q2, out=tmp)
-        res = _max_norm(r1, r2)
-        if trace is not None:
-            trace.append(_energy_arrays(problem, u1, u2))
-        if res <= config.tol:
-            converged = True
-            break
-        precond(r1, r2, z1, z2)
-        rz_next = dot(r1, z1, r2, z2)
-        beta = rz_next / rz
-        p1 *= beta
-        p1 += z1
-        p2 *= beta
-        p2 += z2
+        u += np.multiply(step, p, out=tmp)
+        r -= np.multiply(step, q, out=tmp)
+        yield _max_norm(*r)
+        precond(r, z)
+        rz_next = dot(r, z)
+        p *= rz_next / rz
+        p += z
         rz = rz_next
-    return converged, iterations, u1, u2, res

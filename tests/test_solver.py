@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import surfaceflow.solver as solver
-from surfaceflow.grid import GridSpec, ScalarField, coordinate_arrays
+from surfaceflow.grid import GridSpec, ScalarField, VectorField, coordinate_arrays
 from surfaceflow.geometry import build_geometry
 from surfaceflow.model import (
     FlowProblem,
@@ -297,7 +297,8 @@ class TestSolve:
     @pytest.mark.parametrize("k", [1, 3])
     def test_apply_budget(self, monkeypatch, rng, method, per_iter, k):
         # setup: 1 initial gradient + 1 for b + the stencil probe, 50 for
-        # SOR's whole stencil or 18 for CG's diagonal blocks
+        # SOR's whole stencil or 18 for CG's diagonal blocks; finish: 1 for
+        # the gradient at the returned flow
         setup = {"sor": 2 + 50, "cg": 2 + 18}[method]
         import surfaceflow.solver as solver_module
 
@@ -312,7 +313,7 @@ class TestSolve:
         prob = random_problem(GridSpec(12, 12), rng, curved=True)
         _, report = solve(prob, SolverConfig(method=method, tol=1e-300, max_iter=k))
         assert report.iterations == k and not report.converged
-        assert len(calls) == setup + per_iter * k
+        assert len(calls) == setup + per_iter * k + 1
 
     def test_sor_energy_monotone(self, rng):
         prob = random_problem(GridSpec(24, 24), rng, curved=True)
@@ -349,13 +350,58 @@ class TestSolve:
         assert np.array_equal(flow_a.u2.values, flow_b.u2.values)
         assert report_a.iterations == report_b.iterations
 
-    def test_warm_start(self, rng):
+    @pytest.mark.parametrize("method", ["sor", "cg"])
+    def test_warm_start(self, rng, method):
         # starting from the converged solution terminates without iterating
         prob = random_problem(GridSpec(12, 12), rng, curved=True)
-        flow, _ = solve(prob, SolverConfig(method="cg", tol=1e-9))
-        again, report = solve(prob, SolverConfig(method="cg", tol=1e-8), u0=flow)
+        flow, _ = solve(prob, SolverConfig(method=method, tol=1e-9))
+        again, report = solve(prob, SolverConfig(method=method, tol=1e-8), u0=flow)
         assert report.iterations == 0
         assert np.array_equal(again.u1.values, flow.u1.values)
+
+    @pytest.mark.parametrize("method", ["sor", "cg"])
+    @pytest.mark.parametrize("max_iter", [1, 7, 50000])
+    def test_energy_trace_spans_the_iterations(self, rng, method, max_iter):
+        prob = random_problem(GridSpec(12, 12), rng, curved=True)
+        config = SolverConfig(method=method, tol=1e-8, max_iter=max_iter)
+        _, report = solve(prob, config, track_energy=True)
+        assert report.converged == (max_iter == 50000)
+        trace = report.energy_trace
+        assert len(trace) == report.iterations + 1
+        assert trace[0] == report.energy_initial
+        assert trace[-1] == report.energy_final
+
+    def test_report_reads_true_gradient(self):
+        # CG stops on its recurrence residual, 7.8e-16 here, while the true
+        # gradient at the returned flow is 7.6e-15 > tol
+        scene = make_scene("moving-bump", size=17, frame_count=2, noise_sigma=1e-3, seed=1)
+        frames, heights, _ = render(scene)
+        prob = problem_from_frames(frames[0], frames[1], build_geometry(heights[0]), alpha=10.0)
+        config = SolverConfig(method="cg", tol=1e-15)
+        flow, report = solve(prob, config)
+        grad = energy_gradient(prob, flow)
+        norm = max(float(np.max(np.abs(grad.u1.values))), float(np.max(np.abs(grad.u2.values))))
+        assert report.grad_inf_norm == norm
+        assert norm > config.tol and not report.converged
+
+    def test_cg_breakdown_reports_true_gradient(self):
+        # with no data term the energy is the regularizer alone; CG reaches
+        # its zero-energy minimizer, then meets p.q <= 0 before its
+        # recurrence residual (still 19.3) falls to tol
+        spec = GridSpec(3, 3)
+        zero = ScalarField.zeros(spec)
+        prob = FlowProblem(geom=build_geometry(zero), fx1=zero, fx2=zero, ft=zero)
+        draws = np.random.default_rng(1)
+        u0 = VectorField.from_arrays(
+            spec, draws.standard_normal((3, 3)), draws.standard_normal((3, 3))
+        )
+        config = SolverConfig(method="cg", tol=1e-300, max_iter=1000)
+        flow, report = solve(prob, config, u0=u0)
+        assert report.iterations == 14
+        assert report.energy_final == 0.0 == energy(prob, flow)
+        grad = energy_gradient(prob, flow)
+        assert np.all(grad.u1.values == 0.0) and np.all(grad.u2.values == 0.0)
+        assert report.grad_inf_norm == 0.0 and report.converged
 
     def test_curved_recovery_within_flat_margin(self):
         # translating pattern over the catalog paraboloid: the endpoint error
