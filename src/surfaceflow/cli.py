@@ -301,7 +301,7 @@ def cmd_energy(args) -> int:
                 "frame_b": j,
                 "alpha": float(args.alpha),
                 "energy": energy(problem, u),
-                "grad_inf_norm": _max_norm(grad.u1.values, grad.u2.values),
+                "grad_inf_norm": _max_norm(np.stack((grad.u1.values, grad.u2.values))),
             }
         ),
         end="",

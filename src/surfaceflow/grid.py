@@ -140,14 +140,8 @@ class VectorField:
 # ---------------------------------------------------------------------------
 
 
-def _require_3x3(values: np.ndarray) -> None:
-    if values.ndim != 2 or values.shape[0] < 3 or values.shape[1] < 3:
-        raise ValueError(f"differences need at least a 3x3 field, got shape {values.shape}")
-
-
 def diff_x2_array(values: np.ndarray, h: float) -> np.ndarray:
     """d/dx2 (along axis 0): central interior, one-sided first-order boundary."""
-    _require_3x3(values)
     out = np.empty_like(values)
     out[1:-1, :] = (values[2:, :] - values[:-2, :]) / (2.0 * h)
     out[0, :] = (values[1, :] - values[0, :]) / h
@@ -157,7 +151,6 @@ def diff_x2_array(values: np.ndarray, h: float) -> np.ndarray:
 
 def diff_x2_adjoint_array(s: np.ndarray, h: float) -> np.ndarray:
     """Transpose of :func:`diff_x2_array` as a linear map, same grid."""
-    _require_3x3(s)
     out = np.zeros_like(s)
     c = 1.0 / (2.0 * h)
     out[2:, :] += s[1:-1, :] * c

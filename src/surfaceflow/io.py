@@ -84,8 +84,9 @@ class Manifest:
                 f"{len(self.frame_paths)} frames; need one per frame or a single static map"
             )
         lo, hi = self.intensity_range
-        if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-            raise ManifestError(f"intensity_range must satisfy lower < upper, got {lo}, {hi}")
+        # the span hi - lo is finite only when both ends are
+        if not (lo < hi and np.isfinite(float(hi) - float(lo))):
+            raise ManifestError(f"intensity_range needs lower < upper, finite span; got {lo}, {hi}")
 
     @property
     def frame_count(self) -> int:
@@ -184,9 +185,10 @@ def load_sequence(manifest: Manifest):
     ScalarField across the heights list.  Stored intensities are treated as
     fractions of ``intensity_range`` and mapped affinely onto it (the default
     range [0, 1] leaves values untouched, bit for bit).  Heights are
-    geometric and never rescaled.  Missing files and wrong dimensions raise
-    ManifestError naming the file; non-finite samples surface as
-    FloatImageError from the reader, also naming the file.
+    geometric and never rescaled.  Missing files, wrong dimensions and
+    frames that the mapping carries to non-finite values raise ManifestError
+    naming the file; non-finite stored samples surface as FloatImageError
+    from the reader, also naming the file.
     """
     spec = manifest.spec
     lo, hi = manifest.intensity_range
@@ -207,7 +209,10 @@ def load_sequence(manifest: Manifest):
     for rel in manifest.frame_paths:
         values = load_field(rel)
         if (lo, hi) != (0.0, 1.0):
-            values = lo + values * (hi - lo)
+            with np.errstate(over="ignore"):
+                values = lo + values * (hi - lo)
+            if not np.all(np.isfinite(values)):
+                raise ManifestError(f"{manifest.base_dir / rel}: intensity_range mapping overflows")
         frames.append(ScalarField(spec, values))
     if manifest.static_surface:
         shared = ScalarField(spec, load_field(manifest.height_paths[0]))
@@ -377,8 +382,8 @@ def colorize(u, max_magnitude: float | None = None) -> np.ndarray:
     rad = np.hypot(u1_values, u2_values)
     if max_magnitude is None:
         max_magnitude = default_max_magnitude(rad)
-    elif max_magnitude <= 0.0:
-        raise ValueError(f"max_magnitude must be positive, got {max_magnitude}")
+    elif not (np.isfinite(max_magnitude) and max_magnitude > 0.0):
+        raise ValueError(f"max_magnitude must be positive and finite, got {max_magnitude}")
 
     ncols = len(COLOR_WHEEL)
     fk = wheel_position(u1_values, u2_values)

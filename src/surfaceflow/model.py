@@ -1,7 +1,7 @@
 """Covariant Horn-Schunck energy on a graph surface.
 
-The flow field u = (u1, u2) lives in surface coordinates.  The energy is the
-Riemann sum
+The flow field u = (u1, u2) lives in surface coordinates; the helpers below
+take it as one (2, height, width) array.  The energy is the Riemann sum
 
     E(u) = 1/2 * sum_p w_p * (alpha * r_p^2 + |D u|_F^2),
     w_p  = sqrt(det g)_p * h^2,
@@ -105,30 +105,31 @@ def ofc_residual(problem: FlowProblem, u: VectorField) -> ScalarField:
     """Pulled-back optical-flow-constraint residual fx1*u1 + fx2*u2 + ft."""
     if u.spec != problem.spec:
         raise ValueError("flow field does not match the problem grid spec")
-    return ScalarField(problem.spec, _residual_array(problem, u.u1.values, u.u2.values))
+    r = _residual_array(problem, np.stack((u.u1.values, u.u2.values)))
+    return ScalarField(problem.spec, r)
 
 
 def energy(problem: FlowProblem, u: VectorField) -> float:
     """Discrete energy value; the quantity every solver step must not increase."""
     if u.spec != problem.spec:
         raise ValueError("flow field does not match the problem grid spec")
-    return _energy_arrays(problem, u.u1.values, u.u2.values)
+    return _energy_arrays(problem, np.stack((u.u1.values, u.u2.values)))
 
 
 def energy_gradient(problem: FlowProblem, u: VectorField) -> VectorField:
     """Exact gradient of :func:`energy` with respect to the flow values."""
     if u.spec != problem.spec:
         raise ValueError("flow field does not match the problem grid spec")
-    g1, g2 = _gradient_arrays(problem, u.u1.values, u.u2.values)
-    return VectorField.from_arrays(problem.spec, g1, g2)
+    g = _gradient_arrays(problem, np.stack((u.u1.values, u.u2.values)))
+    return VectorField.from_arrays(problem.spec, *g)
 
 
 def _quad_weights(geom: SurfaceGeometry) -> np.ndarray:
     return geom.sqrt_detg.values * (geom.spec.h * geom.spec.h)
 
 
-def _residual_array(problem: FlowProblem, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
-    return problem.fx1.values * u1 + problem.fx2.values * u2 + problem.ft.values
+def _residual_array(problem: FlowProblem, u: np.ndarray) -> np.ndarray:
+    return problem.fx1.values * u[0] + problem.fx2.values * u[1] + problem.ft.values
 
 
 def _christoffel_arrays(geom: SurfaceGeometry):
@@ -137,8 +138,9 @@ def _christoffel_arrays(geom: SurfaceGeometry):
     return tuple(getattr(geom, name).values for name in names)
 
 
-def _covd_arrays(geom: SurfaceGeometry, u1: np.ndarray, u2: np.ndarray):
+def _covd_arrays(geom: SurfaceGeometry, u: np.ndarray):
     h = geom.spec.h
+    u1, u2 = u
     c1_11, c1_12, c1_22, c2_11, c2_12, c2_22 = _christoffel_arrays(geom)
     d11 = diff_x1_array(u1, h) + c1_11 * u1 + c1_12 * u2
     d12 = diff_x2_array(u1, h) + c1_12 * u1 + c1_22 * u2
@@ -147,10 +149,10 @@ def _covd_arrays(geom: SurfaceGeometry, u1: np.ndarray, u2: np.ndarray):
     return d11, d12, d21, d22
 
 
-def _energy_arrays(problem: FlowProblem, u1: np.ndarray, u2: np.ndarray) -> float:
-    """:func:`energy` on plain arrays, for callers that hold the flow as arrays."""
-    r = _residual_array(problem, u1, u2)
-    d11, d12, d21, d22 = _covd_arrays(problem.geom, u1, u2)
+def _energy_arrays(problem: FlowProblem, u: np.ndarray) -> float:
+    """:func:`energy` on the flow held as one array."""
+    r = _residual_array(problem, u)
+    d11, d12, d21, d22 = _covd_arrays(problem.geom, u)
     w = _quad_weights(problem.geom)
     total = np.sum(
         w * (problem.alpha * r * r + d11 * d11 + d12 * d12 + d21 * d21 + d22 * d22)
@@ -158,7 +160,7 @@ def _energy_arrays(problem: FlowProblem, u1: np.ndarray, u2: np.ndarray) -> floa
     return 0.5 * float(total)
 
 
-def _gradient_arrays(problem: FlowProblem, u1: np.ndarray, u2: np.ndarray):
+def _gradient_arrays(problem: FlowProblem, u: np.ndarray):
     """Adjoint assembly of the energy gradient as one (2, height, width) array.
 
     With s_ij = w * d_ij, the regularizer contributes the transposed stencils
@@ -168,7 +170,7 @@ def _gradient_arrays(problem: FlowProblem, u1: np.ndarray, u2: np.ndarray):
     geom = problem.geom
     h = geom.spec.h
     w = _quad_weights(geom)
-    d11, d12, d21, d22 = _covd_arrays(geom, u1, u2)
+    d11, d12, d21, d22 = _covd_arrays(geom, u)
     s11, s12, s21, s22 = w * d11, w * d12, w * d21, w * d22
     c1_11, c1_12, c1_22, c2_11, c2_12, c2_22 = _christoffel_arrays(geom)
 
@@ -189,7 +191,7 @@ def _gradient_arrays(problem: FlowProblem, u1: np.ndarray, u2: np.ndarray):
         + c2_22 * s22
     )
 
-    awr = problem.alpha * w * _residual_array(problem, u1, u2)
+    awr = problem.alpha * w * _residual_array(problem, u)
     g = np.empty((2,) + w.shape)
     np.add(g1, awr * problem.fx1.values, out=g[0])
     np.add(g2, awr * problem.fx2.values, out=g[1])

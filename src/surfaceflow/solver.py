@@ -26,17 +26,21 @@ coloring would not be here (the wide second-difference composition couples
 same-parity neighbours).  Each color computes its residual b + sum c * u on
 its own points only, from the probed stencil and the flow padded by two
 zeros, so that every offset is one strided view.  CG keeps the matrix-free
-apply and takes its preconditioner blocks from the period-3 probe.
+apply and takes its preconditioner blocks from the period-3 probe.  The
+inverted blocks are a stacked diagonal (i11, i22) and an off-diagonal i12,
+and ``_block_solve`` alone applies them, as SOR's color update and as CG's
+block Jacobi preconditioner.  CG's vector updates allocate their results.
 
-``solve`` is the one iteration driver.  It holds the flow as one (2, height,
-width) array and owns ``tol``, ``max_iter`` and the energy trace: it checks
-the initial guess, caps the steps at ``max_iter`` and stops once a step's
-max-norm is within ``tol``.  Each method is a step generator that sets
-itself up on its first step, then updates the flow in place and yields the
-gradient max-norm its iteration computes: SOR the true one, CG its
-recurrence residual, which drifts from the true gradient by rounding.  So
-the report's ``grad_inf_norm`` and ``converged`` read the true gradient at
-the returned flow, for both methods.
+Every two-component array, the flow as well as gradients, residuals and
+Krylov vectors, is one (2, height, width) array, component first.  ``solve``
+is the one iteration driver.  It owns ``tol``, ``max_iter`` and the energy
+trace: it checks the initial guess, caps the steps at ``max_iter`` and stops
+once a step's max-norm is within ``tol``.  Each method is a step generator
+that sets itself up on its first step, then updates the flow in place and
+yields the gradient max-norm its iteration computes: SOR the true one, CG its
+recurrence residual, which drifts from the true gradient by rounding.  So the
+report's ``grad_inf_norm`` and ``converged`` read the true gradient at the
+returned flow, for both methods.
 
 Counted in gradient applies, a solve that iterates costs 2 at setup (the
 initial gradient and b), then the probe, 50 for SOR or 18 for CG, then 1 per
@@ -152,42 +156,42 @@ def solve(
             raise ValueError("initial guess does not match the problem grid spec")
         u = np.stack((u0.u1.values, u0.u2.values))
 
-    e_initial = _energy_arrays(problem, *u)
+    e_initial = _energy_arrays(problem, u)
     trace = [e_initial]
-    g = _gradient_arrays(problem, *u)
+    g = _gradient_arrays(problem, u)
     iterations = 0
-    if _max_norm(*g) > config.tol:
-        b = _gradient_arrays(problem, *np.zeros_like(u))
+    if _max_norm(g) > config.tol:
+        b = _gradient_arrays(problem, np.zeros_like(u))
         steps = _sor_steps if config.method == "sor" else _cg_steps
         # unnamed, the generator and its buffers are freed when the loop ends
         for iterations, res in enumerate(
             itertools.islice(steps(problem, config, b, g, u), config.max_iter), 1
         ):
             if track_energy:
-                trace.append(_energy_arrays(problem, *u))
+                trace.append(_energy_arrays(problem, u))
             if res <= config.tol:
                 break
-        g = _gradient_arrays(problem, *u)
-    res = _max_norm(*g)
+        g = _gradient_arrays(problem, u)
+    res = _max_norm(g)
     report = SolverReport(
         method=config.method,
         converged=res <= config.tol,
         iterations=iterations,
         energy_initial=e_initial,
-        energy_final=_energy_arrays(problem, *u),
+        energy_final=_energy_arrays(problem, u),
         grad_inf_norm=res,
         energy_trace=tuple(trace) if track_energy else None,
     )
     return VectorField.from_arrays(spec, *u), report
 
 
-def _max_norm(g1: np.ndarray, g2: np.ndarray) -> float:
-    return float(max(np.max(np.abs(g1)), np.max(np.abs(g2))))
+def _max_norm(g: np.ndarray) -> float:
+    return float(np.max(np.abs(g)))
 
 
-def _apply(problem, b, p1, p2):
-    """A (p1, p2) = grad E(p) - b, the homogeneous part of the gradient."""
-    g = _gradient_arrays(problem, p1, p2)
+def _apply(problem, b, p):
+    """A p = grad E(p) - b, the homogeneous part of the gradient."""
+    g = _gradient_arrays(problem, p)
     g -= b
     return g
 
@@ -214,23 +218,21 @@ def _probe(problem, b, offsets):
     )
     shape = problem.spec.shape
     coeffs = np.empty((len(offsets), 2, 2) + shape)
-    zero = np.zeros(shape)
     for a in range(period):
         for c in range(period):
-            e = np.zeros(shape)
-            e[a::period, c::period] = 1.0
-            for k, (e1, e2) in enumerate(((e, zero), (zero, e))):
-                y = _apply(problem, b, e1, e2)
+            for k in range(2):
+                e = np.zeros((2,) + shape)
+                e[k, a::period, c::period] = 1.0
+                y = _apply(problem, b, e)
                 for n, (dr, dc) in enumerate(offsets):
                     rows = slice((a - dr) % period, None, period)
                     cols = slice((c - dc) % period, None, period)
-                    for i in range(2):
-                        coeffs[n, i, k, rows, cols] = y[i][rows, cols]
+                    coeffs[n, :, k, rows, cols] = y[:, rows, cols]
     return coeffs
 
 
 def _inverse_blocks(block):
-    """Inverses (i11, i12, i22) of the 2x2 diagonal blocks ``block[i, k]``."""
+    """Inverted 2x2 diagonal blocks ``block[i, k]``: diagonal (i11, i22), off-diagonal i12."""
     a11, a12, a22 = block[0, 0], block[1, 0], block[1, 1]
     det = a11 * a22 - a12 * a12
     # stencil rows touched by only one component keep the columns of
@@ -238,18 +240,21 @@ def _inverse_blocks(block):
     # the input overflowed them
     if not (np.all(a11 > 0) and np.all(det > 0)):
         raise ValueError("probed diagonal blocks are not positive definite")
-    return a22 / det, -a12 / det, a11 / det
+    return np.stack((a22, a11)) / det, -a12 / det
+
+
+def _block_solve(diagonal, off_diagonal, r):
+    """The inverted blocks applied to ``r``: i11 r1 + i12 r2, i12 r1 + i22 r2."""
+    return diagonal * r + off_diagonal * r[::-1]
 
 
 def _sor_steps(problem, config, b, g, u):
     """16-color exact block SOR on the probed stencil, from ``u`` alone (``g``
     goes unused); each sweep copies the padded flow's interior into ``u``."""
     coeffs = _probe(problem, b, _STENCIL)
-    i11, i12, i22 = _inverse_blocks(coeffs[0])
-    height, width = problem.spec.shape
-    flow = np.zeros((2, height + 4, width + 4))
+    diagonal, off_diagonal = _inverse_blocks(coeffs[0])
+    flow = np.pad(u, ((0, 0), (2, 2), (2, 2)))
     inner = flow[:, 2:-2, 2:-2]
-    inner[...] = u
     omega = config.omega
 
     # per color: its coefficients, the flow at each stencil offset of its
@@ -257,62 +262,48 @@ def _sor_steps(problem, config, b, g, u):
     colors = []
     for a, c in _COLORS:
         rows, cols = slice(a, None, 4), slice(c, None, 4)
-        m, n = i11[rows, cols].shape
+        m, n = off_diagonal[rows, cols].shape
         shifted = [
             flow[:, 2 + a + dr : 2 + a + dr + 4 * m : 4, 2 + c + dc : 2 + c + dc + 4 * n : 4]
             for dr, dc in _STENCIL
         ]
-        inverse = (i11[rows, cols], i12[rows, cols], i22[rows, cols])
+        inverse = diagonal[:, rows, cols], off_diagonal[rows, cols]
         colors.append((coeffs[..., rows, cols], shifted, b[:, rows, cols], inverse))
 
     while True:
-        for coeff, shifted, b_color, (j11, j12, j22) in colors:
-            gb1, gb2 = b_color + np.einsum("dikyx,dkyx->iyx", coeff, np.stack(shifted))
-            own = shifted[0]
-            own[0] -= omega * (j11 * gb1 + j12 * gb2)
-            own[1] -= omega * (j12 * gb1 + j22 * gb2)
+        for coeff, shifted, b_color, (diagonal_color, off_color) in colors:
+            residual = b_color + np.einsum("dikyx,dkyx->iyx", coeff, np.stack(shifted))
+            shifted[0] -= omega * _block_solve(diagonal_color, off_color, residual)
         u[...] = inner
-        yield _max_norm(*_gradient_arrays(problem, *u))
+        yield _max_norm(_gradient_arrays(problem, u))
 
 
 def _cg_steps(problem, config, b, g, u):
     """Conjugate gradients on A u = -b from the gradient ``g`` at ``u``,
     preconditioned by the 2x2 blocks; yields the recurrence residual's
-    max-norm and ends on a direction of zero curvature.  The residual is
-    ``g`` negated in place, and the vector updates write into buffers
-    allocated once."""
-    blocks = np.stack(_inverse_blocks(_probe(problem, b, _STENCIL[:1])[0]))
-    diagonal, off_diagonal = blocks[::2], blocks[1]
-    tmp = np.empty_like(u)
-
-    def precond(r, z):
-        # z_i = inv_ii r_i + inv_12 r_k, with k the other component
-        np.multiply(diagonal, r, out=z)
-        z += np.multiply(off_diagonal, r[::-1], out=tmp)
+    max-norm and ends on a direction of zero curvature."""
+    diagonal, off_diagonal = _inverse_blocks(_probe(problem, b, _STENCIL[:1])[0])
 
     def dot(x, y):
         # one sum per component keeps each grid's pairwise rounding
-        np.multiply(x, y, out=tmp)
-        return float(np.sum(tmp[0]) + np.sum(tmp[1]))
+        xy = x * y
+        return float(np.sum(xy[0]) + np.sum(xy[1]))
 
-    r = np.negative(g, out=g)
-    z = np.empty_like(r)
-    precond(r, z)
-    p = z.copy()
+    r = -g
+    p = z = _block_solve(diagonal, off_diagonal, r)
     rz = dot(r, z)
     while True:
-        q = _apply(problem, b, *p)
+        q = _apply(problem, b, p)
         p_dot_q = dot(p, q)
         if p_dot_q <= 0.0:
             # zero-curvature direction of the semi-definite system; the
             # residual along it can no longer decrease
             return
         step = rz / p_dot_q
-        u += np.multiply(step, p, out=tmp)
-        r -= np.multiply(step, q, out=tmp)
-        yield _max_norm(*r)
-        precond(r, z)
+        u += step * p
+        r -= step * q
+        yield _max_norm(r)
+        z = _block_solve(diagonal, off_diagonal, r)
         rz_next = dot(r, z)
-        p *= rz_next / rz
-        p += z
+        p = z + (rz_next / rz) * p
         rz = rz_next

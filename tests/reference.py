@@ -193,7 +193,7 @@ def covariant_derivative(geom: SurfaceGeometry, u: VectorField) -> CovariantDeri
     """All four entries D_j u^i on the grid."""
     if u.spec != geom.spec:
         raise ValueError("vector field does not match the geometry grid spec")
-    d11, d12, d21, d22 = _covd_arrays(geom, u.u1.values, u.u2.values)
+    d11, d12, d21, d22 = _covd_arrays(geom, np.stack((u.u1.values, u.u2.values)))
     wrap = lambda a: ScalarField(geom.spec, a)
     return CovariantDerivative(wrap(d11), wrap(d12), wrap(d21), wrap(d22))
 
@@ -246,10 +246,9 @@ def full_apply_sor(problem: FlowProblem, config: SolverConfig, u1: np.ndarray, u
     color update: the solver's SOR before its colors read their residuals off
     the probed stencil.  Sweeps at least once from (u1, u2), updated in place;
     returns (converged, sweeps, u1, u2, gradient max-norm)."""
-    zero = np.zeros(problem.spec.shape)
-    b = _gradient_arrays(problem, zero, zero)
-    i11, i12, i22 = _inverse_blocks(_probe(problem, b, _STENCIL[:1])[0])
-    g1, g2 = _gradient_arrays(problem, u1, u2)
+    b = _gradient_arrays(problem, np.zeros((2,) + problem.spec.shape))
+    (i11, i22), i12 = _inverse_blocks(_probe(problem, b, _STENCIL[:1])[0])
+    g1, g2 = _gradient_arrays(problem, np.stack((u1, u2)))
     omega = config.omega
     converged = False
     res = np.inf
@@ -261,7 +260,7 @@ def full_apply_sor(problem: FlowProblem, config: SolverConfig, u1: np.ndarray, u
                 gb2 = g2[sel]
                 u1[sel] -= omega * (i11[sel] * gb1 + i12[sel] * gb2)
                 u2[sel] -= omega * (i12[sel] * gb1 + i22[sel] * gb2)
-                g1, g2 = _gradient_arrays(problem, u1, u2)
+                g1, g2 = _gradient_arrays(problem, np.stack((u1, u2)))
         res = float(max(np.max(np.abs(g1)), np.max(np.abs(g2))))
         if res <= config.tol:
             converged = True

@@ -12,6 +12,7 @@ from surfaceflow.io import (
     load_sequence,
     read_flow,
     read_manifest,
+    write_float_image,
     write_flow,
     write_ppm,
 )
@@ -333,6 +334,30 @@ class TestFlowCommand:
         assert code == expected
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+        assert not (tmp_path / "x").exists()
+
+    # a range whose span overflows is a manifest error; so is a finite span
+    # that carries a stored sample past the float range
+    @pytest.mark.parametrize("line, big_frame", [("-1e308 1e308", False), ("0 1e300", True)])
+    def test_overflowing_intensity_range_is_io_error(
+        self, tmp_path, capsys, translation_dir, line, big_frame
+    ):
+        manifest = translation_dir / "manifest.txt"
+        text = manifest.read_text()
+        assert "\nintensity_range 0.0 1.0\n" in text
+        manifest.write_text(
+            text.replace("\nintensity_range 0.0 1.0\n", f"\nintensity_range {line}\n")
+        )
+        if big_frame:
+            write_float_image(translation_dir / "frame_0001.pfm", np.full((49, 49), 1e30))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            args = ["--manifest", str(manifest), "--method", "cg", "--out", str(tmp_path / "x")]
+            code = main(["flow"] + args)
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "intensity_range" in err and (not big_frame or "frame_0001.pfm" in err)
         assert not (tmp_path / "x").exists()
 
     def test_color_flag_writes_image(self, tmp_path, capsys, translation_dir):

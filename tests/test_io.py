@@ -1,4 +1,5 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -228,14 +229,18 @@ class TestManifest:
 
     def test_invalid_intensity_range(self):
         spec = GridSpec(4, 4)
-        with pytest.raises(ValueError):
-            Manifest(
-                version=1,
-                spec=spec,
-                frame_paths=("a.pfm",),
-                height_paths=("b.pfm",),
-                intensity_range=(1.0, 1.0),
-            )
+        # an empty range, then spans that are not finite
+        for lo, hi in [(1.0, 1.0), (-1e308, 1e308), (0.0, np.inf), (-np.inf, 0.0), (np.nan, 1.0)]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ManifestError, match="intensity_range"):
+                    Manifest(
+                        version=1,
+                        spec=spec,
+                        frame_paths=("a.pfm",),
+                        height_paths=("b.pfm",),
+                        intensity_range=(lo, hi),
+                    )
 
     def test_height_count_must_be_one_or_match(self):
         spec = GridSpec(4, 4)
@@ -308,6 +313,23 @@ class TestLoadSequence:
         # frames map 0.25 -> 2 + 0.25 * 4; heights stay in raw units
         assert np.allclose(frames[0].values, 3.0)
         assert np.allclose(heights[0].values, 0.25)
+
+    def test_intensity_overflow_names_frame(self, tmp_path):
+        spec = GridSpec(4, 4)
+        write_fields(tmp_path, ["f0.pfm", "z.pfm"], spec)
+        write_fields(tmp_path, ["f1.pfm"], spec, value=1e30)
+        manifest = Manifest(
+            version=1,
+            spec=spec,
+            frame_paths=("f0.pfm", "f1.pfm"),
+            height_paths=("z.pfm",),
+            intensity_range=(0.0, 1e300),
+            base_dir=tmp_path,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ManifestError, match="f1.pfm"):
+                load_sequence(manifest)
 
     def test_default_range_is_bitwise_identity(self, tmp_path, rng):
         spec = GridSpec(5, 5)
@@ -399,9 +421,12 @@ class TestColorize:
         explicit = colorize((u1, u2), max_magnitude=float(np.percentile(np.hypot(u1, u2), 99)))
         assert np.array_equal(auto, explicit)
 
-    def test_invalid_max_magnitude(self):
-        with pytest.raises(ValueError):
-            colorize((np.ones((2, 2)), np.zeros((2, 2))), max_magnitude=0.0)
+    @pytest.mark.parametrize("scale", [np.nan, np.inf, 0.0, -1.0])
+    def test_invalid_max_magnitude(self, scale):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="max_magnitude"):
+                colorize((np.ones((2, 2)), np.zeros((2, 2))), max_magnitude=scale)
 
     def test_vector_field_input(self, rng):
         spec = GridSpec(4, 4)

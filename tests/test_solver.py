@@ -147,8 +147,7 @@ class TestAssemble:
 
 def probed(prob):
     """b = grad E(0) and the whole probed stencil of ``prob``."""
-    zero = np.zeros(prob.spec.shape)
-    b = _gradient_arrays(prob, zero, zero)
+    b = _gradient_arrays(prob, np.zeros((2,) + prob.spec.shape))
     return b, solver._probe(prob, b, solver._STENCIL)
 
 
@@ -188,7 +187,7 @@ class TestStencil:
         for _ in range(3):
             w1 = rng.standard_normal(spec.shape)
             w2 = rng.standard_normal(spec.shape)
-            ref1, ref2 = solver._apply(prob, b, w1, w2)
+            ref1, ref2 = solver._apply(prob, b, np.stack((w1, w2)))
             mine1, mine2 = stencil_apply(coeffs, w1, w2)
             bound = stencil_apply(np.abs(coeffs), np.abs(w1), np.abs(w2))
             scale = max(1.0, float(np.max(bound)))
@@ -237,6 +236,66 @@ class TestStencil:
             assert (report.converged, report.iterations) == (converged, sweeps)
             gap = max(np.max(np.abs(flow.u1.values - u1)), np.max(np.abs(flow.u2.values - u2)))
             assert gap <= 1e-12 * max(1.0, float(np.max(np.abs(u1))), float(np.max(np.abs(u2))))
+
+
+def assert_block_solve_inverts(block, x):
+    """The inverted blocks undo the blocks: ``_block_solve`` of A_qq x is x."""
+    a_x = np.einsum("ikyx,kyx->iyx", block, x)
+    z = solver._block_solve(*solver._inverse_blocks(block), a_x)
+    assert np.max(np.abs(z - x)) <= 1e-12 * np.max(np.abs(x))
+
+
+class TestBlocks:
+    @given(
+        height=st.integers(1, 12),
+        width=st.integers(1, 12),
+        log_scale=st.floats(-6.0, 6.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_block_solve_inverts_random_spd_blocks(self, height, width, log_scale, seed):
+        rng = np.random.default_rng(seed)
+        shape = (height, width)
+        a11 = 10.0**log_scale * rng.uniform(0.5, 2.0, shape)
+        a22 = 10.0**log_scale * rng.uniform(0.5, 2.0, shape)
+        a12 = 0.9 * rng.uniform(-1.0, 1.0, shape) * np.sqrt(a11 * a22)
+        block = np.array([[a11, a12], [a12, a22]])
+        assert_block_solve_inverts(block, rng.standard_normal((2,) + shape))
+
+    @given(
+        height=st.integers(3, 17),
+        width=st.integers(3, 17),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_block_solve_inverts_probed_blocks(self, height, width, seed):
+        rng = np.random.default_rng(seed)
+        spec = GridSpec(width, height, h=rng.uniform(0.2, 2.0))
+        prob = FlowProblem(
+            geom=random_geometry(spec, rng, amplitude=0.5, evolving=True),
+            fx1=random_field(spec, rng),
+            fx2=random_field(spec, rng),
+            ft=random_field(spec, rng),
+            alpha=rng.uniform(0.1, 100.0),
+        )
+        b = _gradient_arrays(prob, np.zeros((2,) + spec.shape))
+        block = solver._probe(prob, b, solver._STENCIL[:1])[0]
+        assert_block_solve_inverts(block, rng.standard_normal((2,) + spec.shape))
+
+    # one bad point among SPD blocks: a negative a11 with a positive
+    # determinant, a zero determinant, a NaN coupling
+    @pytest.mark.parametrize(
+        "a11, a12, a22",
+        [(-1.0, 1.0, -4.0), (2.0, 2.0, 2.0), (2.0, np.nan, 2.0)],
+        ids=["a11", "det", "nan"],
+    )
+    def test_inverse_blocks_rejects_indefinite_block(self, a11, a12, a22):
+        block = np.empty((2, 2, 4, 5))
+        block[0, 0] = block[1, 1] = 2.0
+        block[0, 1] = block[1, 0] = 1.0
+        block[:, :, 2, 3] = [[a11, a12], [a12, a22]]
+        with pytest.raises(ValueError, match="not positive definite"):
+            solver._inverse_blocks(block)
 
 
 class TestSolve:
