@@ -27,7 +27,7 @@ from surfaceflow.grid import GridSpec, ScalarField, coordinate_arrays  # noqa: E
 from surfaceflow.geometry import build_geometry  # noqa: E402
 from surfaceflow.model import FlowProblem  # noqa: E402
 from surfaceflow.solver import SolverConfig, solve  # noqa: E402
-from reference import check_natural_bc, christoffel_from_metric  # noqa: E402
+from reference import check_natural_bc, christoffel_from_metric, surface_frame  # noqa: E402
 
 
 def quadratic_scene_error(n, alpha):
@@ -56,11 +56,11 @@ def christoffel_gap(n):
     z = ScalarField.from_function(
         spec, lambda x1, x2: np.sin(x1) * np.cos(x2), origin=(-1.0, -1.0)
     )
-    geom = build_geometry(z)
-    general = christoffel_from_metric(geom.g11, geom.g12, geom.g22)
+    geom, frame = build_geometry(z), surface_frame(z)
+    general = christoffel_from_metric(frame.g11, frame.g12, frame.g22)
     inner = (slice(2, -2), slice(2, -2))
     return max(
-        float(np.max(np.abs(f.values[inner] - geom.christoffel(i, j, k).values[inner])))
+        float(np.max(np.abs(f.values[inner] - getattr(geom, f"gamma{i}_{j}{k}").values[inner])))
         for (i, j, k), f in general.items()
     )
 

@@ -27,7 +27,7 @@ from surfaceflow.synth import SCENE_NAMES, make_scene, render  # noqa: E402
 def evaluate(name, size, noise, alpha, method, seed):
     scene = make_scene(name, size=size, frame_count=2, noise_sigma=noise, seed=seed)
     frames, heights, truth = render(scene)
-    geom = build_geometry(heights[0], heights[1] if len(heights) > 1 else None)
+    geom = build_geometry(heights[0])
     prob = problem_from_frames(frames[0], frames[1], geom, alpha=alpha)
     config = SolverConfig(method=method, tol=1e-6, max_iter=50000)
     start = time.perf_counter()

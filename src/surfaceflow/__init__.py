@@ -5,7 +5,7 @@ covariant derivative induced by the surface metric, so flow smoothness is
 measured along the surface rather than in the parameter plane.  Modules:
 
 - ``grid``: field containers and finite-difference stencils
-- ``geometry``: metric, its inverse, Christoffel symbols, area weights
+- ``geometry``: area element and Christoffel symbols of a graph surface
 - ``model``: constraint residual, energy, exact discrete gradient
 - ``solver``: 16-color block SOR and preconditioned conjugate gradients
 - ``synth``: closed-form scenes with exact ground truth

@@ -1,11 +1,10 @@
 """Differential geometry of a surface given as the graph of a height field.
 
-For the parametrization x(x1, x2) = (x1, x2, z(x1, x2)) the induced metric,
-its inverse, determinant and the Christoffel symbols all have closed forms
-in the first and second derivatives of z:
+For the parametrization x(x1, x2) = (x1, x2, z(x1, x2)) the area element and
+the Christoffel symbols, the two surface quantities the flow energy reads,
+have closed forms in the first and second derivatives of z:
 
-    g      = I2 + grad(z) grad(z)^T,      det g = 1 + |grad(z)|^2,
-    G^i_jk = d_i z * d_jk z / det g.
+    det g = 1 + |grad(z)|^2,      G^i_jk = d_i z * d_jk z / det g.
 
 The test suite checks these closed forms against the general Levi-Civita
 formula evaluated with the same grid stencils; the two agree to second
@@ -25,26 +24,16 @@ __all__ = ["SurfaceGeometry", "build_geometry", "flat_geometry"]
 
 @dataclass(frozen=True, eq=False)
 class SurfaceGeometry:
-    """Pointwise metric data of the graph surface at a fixed time.
+    """Area element and Christoffel symbols of the graph surface at a fixed time.
 
-    Christoffel symbols are stored once per symmetric pair; use
-    :meth:`christoffel` for arbitrary (i, j, k) access.  ``zt`` is the height
-    rate (d/dt z) between the frame pair; ``evolving`` records whether a
-    second height frame was supplied (a static build keeps zt = 0 but must
-    not be asked for surface velocities).
+    ``gamma{i}_{j}{k}`` is G^i_jk, stored once per symmetric lower pair
+    (j <= k).  ``zt`` is the height rate (d/dt z) between the frame pair;
+    ``evolving`` records whether a second height frame was supplied (a static
+    build keeps zt = 0).
     """
 
     spec: GridSpec
-    dz1: ScalarField
-    dz2: ScalarField
-    g11: ScalarField
-    g12: ScalarField
-    g22: ScalarField
-    detg: ScalarField
     sqrt_detg: ScalarField
-    ginv11: ScalarField
-    ginv12: ScalarField
-    ginv22: ScalarField
     gamma1_11: ScalarField
     gamma1_12: ScalarField
     gamma1_22: ScalarField
@@ -54,20 +43,13 @@ class SurfaceGeometry:
     zt: ScalarField
     evolving: bool
 
-    def christoffel(self, i: int, j: int, k: int) -> ScalarField:
-        """Symbol with upper index i and symmetric lower pair (j, k)."""
-        if i not in (1, 2) or j not in (1, 2) or k not in (1, 2):
-            raise ValueError(f"indices must be 1 or 2, got ({i}, {j}, {k})")
-        j, k = min(j, k), max(j, k)
-        return getattr(self, f"gamma{i}_{j}{k}")
-
 
 def build_geometry(
     z: ScalarField,
     z_next: ScalarField | None = None,
     dt: float | None = None,
 ) -> SurfaceGeometry:
-    """Derive all metric quantities of the graph of ``z``.
+    """Area element and Christoffel symbols of the graph of ``z``.
 
     ``z_next`` is the height field of the following frame; when given, the
     height rate ``zt`` is :func:`~surfaceflow.grid.diff_t` of the pair.
@@ -79,9 +61,6 @@ def build_geometry(
     a2 = diff_x2_array(z.values, spec.h)
     z11, z12, z22 = (d.values for d in hessian(z))
 
-    g11 = 1.0 + a1 * a1
-    g12 = a1 * a2
-    g22 = 1.0 + a2 * a2
     # graph identity det g = 1 + |grad z|^2; guarantees det g >= 1 exactly
     detg = 1.0 + a1 * a1 + a2 * a2
 
@@ -89,16 +68,7 @@ def build_geometry(
     wrap = lambda a: ScalarField(spec, a)
     return SurfaceGeometry(
         spec=spec,
-        dz1=wrap(a1),
-        dz2=wrap(a2),
-        g11=wrap(g11),
-        g12=wrap(g12),
-        g22=wrap(g22),
-        detg=wrap(detg),
         sqrt_detg=wrap(np.sqrt(detg)),
-        ginv11=wrap(g22 / detg),
-        ginv12=wrap(-g12 / detg),
-        ginv22=wrap(g11 / detg),
         gamma1_11=wrap(a1 * z11 / detg),
         gamma1_12=wrap(a1 * z12 / detg),
         gamma1_22=wrap(a1 * z22 / detg),

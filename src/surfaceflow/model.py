@@ -67,8 +67,17 @@ class FlowProblem:
                 raise ValueError(f"{name} does not match the geometry grid spec")
         if not (np.isfinite(self.alpha) and self.alpha > 0):
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
-        if not np.all(np.isfinite(_quad_weights(self.geom))):
+        w = _quad_weights(self.geom)
+        if not np.all(np.isfinite(w)):
             raise ValueError("quadrature weights sqrt(det g) * h^2 are not finite")
+        fx1, fx2, ft = self.fx1.values, self.fx2.values, self.ft.values
+        with np.errstate(over="ignore", invalid="ignore"):
+            data = np.sum(self.alpha * w * (fx1 * fx1 + fx2 * fx2 + ft * ft))
+        if not np.isfinite(data):
+            raise ValueError(
+                "data term alpha * sqrt(det g) * h^2 * (fx1^2 + fx2^2 + ft^2) "
+                "overflows; rescale the intensities"
+            )
 
     @property
     def spec(self):

@@ -35,12 +35,16 @@ def smooth_field(spec: GridSpec, rng, scale: float = 1.0, waves: int = 3) -> Sca
     return ScalarField(spec, scale * out)
 
 
-def random_geometry(spec: GridSpec, rng, amplitude: float = 0.3, evolving: bool = False):
+def random_heights(spec: GridSpec, rng, amplitude: float = 0.3, evolving: bool = False):
+    """A smooth height field and, when ``evolving``, the next frame's (else None)."""
     z = smooth_field(spec, rng, scale=amplitude)
     if not evolving:
-        return build_geometry(z)
-    z_next = ScalarField(spec, z.values + spec.dt * smooth_field(spec, rng, 0.2 * amplitude).values)
-    return build_geometry(z, z_next)
+        return z, None
+    return z, ScalarField(spec, z.values + spec.dt * smooth_field(spec, rng, 0.2 * amplitude).values)
+
+
+def random_geometry(spec: GridSpec, rng, amplitude: float = 0.3, evolving: bool = False):
+    return build_geometry(*random_heights(spec, rng, amplitude, evolving))
 
 
 def random_problem(spec: GridSpec, rng, alpha: float = 10.0, curved: bool = False) -> FlowProblem:

@@ -1,8 +1,8 @@
 """Validation-only geometry, constraint and trajectory helpers for the tests.
 
 These functions check the package's production path from the outside: the
-general Levi-Civita formula against the closed-form graph Christoffel
-symbols, the surface form of the optical-flow constraint against the
+graph's tangent frame and metric, which the energy never reads, the general
+Levi-Civita formula against the closed-form graph Christoffel symbols, the surface form of the optical-flow constraint against the
 pulled-back residual, the natural boundary condition of converged flows,
 brightness constancy along ground-truth trajectories, and the solver's
 probed stencil against whole-grid applies.  Unlike
@@ -23,6 +23,7 @@ from surfaceflow.grid import (
     ScalarField,
     VectorField,
     coordinate_arrays,
+    diff_t,
     diff_x1_array,
     diff_x2_array,
 )
@@ -35,69 +36,125 @@ from surfaceflow.solver import SolverConfig, _STENCIL, _inverse_blocks, _probe
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True, eq=False)
+class SurfaceFrame:
+    """Slopes, metric, inverse metric and height rate of a graph surface.
+
+    The tangent basis J has columns (1, 0, dz1) and (0, 1, dz2), and the
+    metric is g = J^T J.  ``evolving`` records whether a second height frame
+    was supplied (a static frame keeps zt = 0 but has no surface velocity).
+    """
+
+    spec: GridSpec
+    dz1: ScalarField
+    dz2: ScalarField
+    g11: ScalarField
+    g12: ScalarField
+    g22: ScalarField
+    detg: ScalarField
+    sqrt_detg: ScalarField
+    ginv11: ScalarField
+    ginv12: ScalarField
+    ginv22: ScalarField
+    zt: ScalarField
+    evolving: bool
+
+
+def surface_frame(
+    z: ScalarField, z_next: ScalarField | None = None, dt: float | None = None
+) -> SurfaceFrame:
+    """The frame of the graph of ``z`` from the same slope stencils and the
+    same det g as :func:`surfaceflow.geometry.build_geometry`; ``zt`` is the
+    time difference of ``(z, z_next)``, zero without ``z_next``."""
+    spec = z.spec
+    a1 = diff_x1_array(z.values, spec.h)
+    a2 = diff_x2_array(z.values, spec.h)
+    g11 = 1.0 + a1 * a1
+    g12 = a1 * a2
+    g22 = 1.0 + a2 * a2
+    detg = 1.0 + a1 * a1 + a2 * a2
+    zt = ScalarField.zeros(spec) if z_next is None else diff_t(z, z_next, dt)
+    wrap = lambda a: ScalarField(spec, a)
+    return SurfaceFrame(
+        spec=spec,
+        dz1=wrap(a1),
+        dz2=wrap(a2),
+        g11=wrap(g11),
+        g12=wrap(g12),
+        g22=wrap(g22),
+        detg=wrap(detg),
+        sqrt_detg=wrap(np.sqrt(detg)),
+        ginv11=wrap(g22 / detg),
+        ginv12=wrap(-g12 / detg),
+        ginv22=wrap(g11 / detg),
+        zt=zt,
+        evolving=z_next is not None,
+    )
+
+
 def surface_gradient_coeffs(
-    geom: SurfaceGeometry, fx1: ScalarField, fx2: ScalarField
+    frame: SurfaceFrame, fx1: ScalarField, fx2: ScalarField
 ) -> VectorField:
     """Coefficients g^-1 grad(f); the embedded surface gradient is J times this."""
-    if fx1.spec != geom.spec or fx2.spec != geom.spec:
-        raise ValueError("data derivatives must share the geometry grid spec")
-    c1 = geom.ginv11.values * fx1.values + geom.ginv12.values * fx2.values
-    c2 = geom.ginv12.values * fx1.values + geom.ginv22.values * fx2.values
-    return VectorField.from_arrays(geom.spec, c1, c2)
+    if fx1.spec != frame.spec or fx2.spec != frame.spec:
+        raise ValueError("data derivatives must share the frame grid spec")
+    c1 = frame.ginv11.values * fx1.values + frame.ginv12.values * fx2.values
+    c2 = frame.ginv12.values * fx1.values + frame.ginv22.values * fx2.values
+    return VectorField.from_arrays(frame.spec, c1, c2)
 
 
-def embed_tangent(geom: SurfaceGeometry, u: VectorField) -> np.ndarray:
+def embed_tangent(frame: SurfaceFrame, u: VectorField) -> np.ndarray:
     """Push coefficients through J; columns of J are (1,0,d1 z), (0,1,d2 z).
 
     Returns an array of shape (height, width, 3).
     """
-    if u.spec != geom.spec:
-        raise ValueError("vector field must share the geometry grid spec")
+    if u.spec != frame.spec:
+        raise ValueError("vector field must share the frame grid spec")
     a1, a2 = u.u1.values, u.u2.values
-    out = np.empty(geom.spec.shape + (3,))
+    out = np.empty(frame.spec.shape + (3,))
     out[..., 0] = a1
     out[..., 1] = a2
-    out[..., 2] = a1 * geom.dz1.values + a2 * geom.dz2.values
+    out[..., 2] = a1 * frame.dz1.values + a2 * frame.dz2.values
     return out
 
 
-def unit_normal(geom: SurfaceGeometry) -> np.ndarray:
+def unit_normal(frame: SurfaceFrame) -> np.ndarray:
     """Upward unit normal (-d1 z, -d2 z, 1) / sqrt(det g), shape (H, W, 3)."""
-    inv = 1.0 / geom.sqrt_detg.values
-    out = np.empty(geom.spec.shape + (3,))
-    out[..., 0] = -geom.dz1.values * inv
-    out[..., 1] = -geom.dz2.values * inv
+    inv = 1.0 / frame.sqrt_detg.values
+    out = np.empty(frame.spec.shape + (3,))
+    out[..., 0] = -frame.dz1.values * inv
+    out[..., 1] = -frame.dz2.values * inv
     out[..., 2] = inv
     return out
 
 
-def tangential_surface_velocity(geom: SurfaceGeometry) -> np.ndarray:
+def tangential_surface_velocity(frame: SurfaceFrame) -> np.ndarray:
     """Projection of the parametrization velocity (0, 0, zt) onto the tangent plane."""
-    if not geom.evolving:
-        raise ValueError("geometry was built static; no surface velocity available")
-    xdot = np.zeros(geom.spec.shape + (3,))
-    xdot[..., 2] = geom.zt.values
-    n = unit_normal(geom)
+    if not frame.evolving:
+        raise ValueError("frame was built static; no surface velocity available")
+    xdot = np.zeros(frame.spec.shape + (3,))
+    xdot[..., 2] = frame.zt.values
+    n = unit_normal(frame)
     normal_part = np.sum(xdot * n, axis=-1)
     return xdot - normal_part[..., None] * n
 
 
-def tangent_coords(geom: SurfaceGeometry, vectors: np.ndarray) -> VectorField:
+def tangent_coords(frame: SurfaceFrame, vectors: np.ndarray) -> VectorField:
     """Coefficients of the tangential part of per-point 3-vectors in the basis J.
 
     Solves g c = J^T v pointwise; any normal component of ``v`` is annihilated
     by J^T and therefore ignored.
     """
-    if vectors.shape != geom.spec.shape + (3,):
+    if vectors.shape != frame.spec.shape + (3,):
         raise ValueError(
-            f"expected per-point 3-vectors of shape {geom.spec.shape + (3,)}, "
+            f"expected per-point 3-vectors of shape {frame.spec.shape + (3,)}, "
             f"got {vectors.shape}"
         )
-    p1 = vectors[..., 0] + vectors[..., 2] * geom.dz1.values
-    p2 = vectors[..., 1] + vectors[..., 2] * geom.dz2.values
-    c1 = geom.ginv11.values * p1 + geom.ginv12.values * p2
-    c2 = geom.ginv12.values * p1 + geom.ginv22.values * p2
-    return VectorField.from_arrays(geom.spec, c1, c2)
+    p1 = vectors[..., 0] + vectors[..., 2] * frame.dz1.values
+    p2 = vectors[..., 1] + vectors[..., 2] * frame.dz2.values
+    c1 = frame.ginv11.values * p1 + frame.ginv12.values * p2
+    c2 = frame.ginv12.values * p1 + frame.ginv22.values * p2
+    return VectorField.from_arrays(frame.spec, c1, c2)
 
 
 def christoffel_from_metric(
@@ -143,7 +200,7 @@ def christoffel_from_metric(
 
 
 def intrinsic_ofc_residual(
-    geom: SurfaceGeometry,
+    frame: SurfaceFrame,
     fx1: ScalarField,
     fx2: ScalarField,
     f_param_t: ScalarField,
@@ -165,17 +222,17 @@ def intrinsic_ofc_residual(
     identically, so a static surface (zt = 0) reduces it to
     :func:`surfaceflow.model.ofc_residual`.
     """
-    spec = geom.spec
+    spec = frame.spec
     for name, field in (("fx1", fx1), ("fx2", fx2), ("f_param_t", f_param_t)):
         if field.spec != spec:
-            raise ValueError(f"{name} does not match the geometry grid spec")
+            raise ValueError(f"{name} does not match the frame grid spec")
     if v_tan_coeffs.spec != spec:
-        raise ValueError("velocity field does not match the geometry grid spec")
-    grad3 = embed_tangent(geom, surface_gradient_coeffs(geom, fx1, fx2))
-    v3 = embed_tangent(geom, v_tan_coeffs)
+        raise ValueError("velocity field does not match the frame grid spec")
+    grad3 = embed_tangent(frame, surface_gradient_coeffs(frame, fx1, fx2))
+    v3 = embed_tangent(frame, v_tan_coeffs)
     advect = np.sum(grad3 * v3, axis=-1)
     # parametrization velocity (0, 0, zt): only the third component survives
-    grad_dot_xdot = grad3[..., 2] * geom.zt.values
+    grad_dot_xdot = grad3[..., 2] * frame.zt.values
     return ScalarField(spec, advect + f_param_t.values - grad_dot_xdot)
 
 

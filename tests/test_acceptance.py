@@ -31,6 +31,7 @@ from reference import (
     check_natural_bc,
     christoffel_from_metric,
     intrinsic_ofc_residual,
+    surface_frame,
     tangent_coords,
     tangential_surface_velocity,
 )
@@ -108,11 +109,11 @@ def test_3_christoffel_closed_form_vs_general_formula():
         z = ScalarField.from_function(
             spec, lambda x1, x2: np.sin(x1) * np.cos(x2), origin=(-1.0, -1.0)
         )
-        geom = build_geometry(z)
-        general = christoffel_from_metric(geom.g11, geom.g12, geom.g22)
+        geom, frame = build_geometry(z), surface_frame(z)
+        general = christoffel_from_metric(frame.g11, frame.g12, frame.g22)
         inner = (slice(2, -2), slice(2, -2))
         return max(
-            float(np.max(np.abs(field.values[inner] - geom.christoffel(i, j, k).values[inner])))
+            float(np.max(np.abs(field.values[inner] - getattr(geom, f"gamma{i}_{j}{k}").values[inner])))
             for (i, j, k), field in general.items()
         )
 
@@ -183,7 +184,7 @@ def _bump_residual_fields(n):
     ft = ScalarField(spec, -(g1 * velocity[0] + g2 * velocity[1]))
     z0 = surface.height(x1, x2, 0.0)
     zt = surface.height_t(x1, x2, 0.0)
-    geom = build_geometry(
+    frame = surface_frame(
         ScalarField(spec, z0), ScalarField(spec, z0 + spec.dt * zt)
     )
     u = VectorField(
@@ -199,33 +200,33 @@ def _bump_residual_fields(n):
         ScalarField(spec, zt * dz1_a / detg_a),
         ScalarField(spec, zt * dz2_a / detg_a),
     )
-    return spec, geom, fx1, fx2, ft, u, pulled, w_analytic
+    return spec, frame, fx1, fx2, ft, u, pulled, w_analytic
 
 
 def test_5_intrinsic_and_pulled_back_constraints_agree():
-    spec, geom, fx1, fx2, ft, u, pulled, w_analytic = _bump_residual_fields(65)
+    spec, frame, fx1, fx2, ft, u, pulled, w_analytic = _bump_residual_fields(65)
 
     # same discrete geometry on both sides: the equality is pointwise algebra
-    w = tangent_coords(geom, tangential_surface_velocity(geom))
+    w = tangent_coords(frame, tangential_surface_velocity(frame))
     absolute = VectorField(
         spec,
         ScalarField(spec, u.u1.values + w.u1.values),
         ScalarField(spec, u.u2.values + w.u2.values),
     )
     shared_gap = float(
-        np.max(np.abs(intrinsic_ofc_residual(geom, fx1, fx2, ft, absolute).values - pulled))
+        np.max(np.abs(intrinsic_ofc_residual(frame, fx1, fx2, ft, absolute).values - pulled))
     )
 
     # analytic surface-velocity coordinates against stencil geometry: the gap
     # is the spatial discretization error and shrinks at second order
     def analytic_gap(n):
-        spec_n, geom_n, fx1_n, fx2_n, ft_n, u_n, pulled_n, w_a = _bump_residual_fields(n)
+        spec_n, frame_n, fx1_n, fx2_n, ft_n, u_n, pulled_n, w_a = _bump_residual_fields(n)
         absolute_n = VectorField(
             spec_n,
             ScalarField(spec_n, u_n.u1.values + w_a.u1.values),
             ScalarField(spec_n, u_n.u2.values + w_a.u2.values),
         )
-        out = intrinsic_ofc_residual(geom_n, fx1_n, fx2_n, ft_n, absolute_n)
+        out = intrinsic_ofc_residual(frame_n, fx1_n, fx2_n, ft_n, absolute_n)
         inner = (slice(2, -2), slice(2, -2))
         return float(np.max(np.abs(out.values[inner] - pulled_n[inner])))
 

@@ -40,6 +40,15 @@ def translation_dir(tmp_path, capsys):
     return out
 
 
+def scale_intensities(dataset, line):
+    """Rewrite the dataset's manifest to map frames onto ``intensity_range line``."""
+    manifest = dataset / "manifest.txt"
+    text = manifest.read_text()
+    assert "\nintensity_range 0.0 1.0\n" in text
+    manifest.write_text(text.replace("\nintensity_range 0.0 1.0\n", f"\nintensity_range {line}\n"))
+    return manifest
+
+
 class TestErrorMetrics:
     def test_identical_fields(self):
         u = np.ones((3, 3))
@@ -342,12 +351,7 @@ class TestFlowCommand:
     def test_overflowing_intensity_range_is_io_error(
         self, tmp_path, capsys, translation_dir, line, big_frame
     ):
-        manifest = translation_dir / "manifest.txt"
-        text = manifest.read_text()
-        assert "\nintensity_range 0.0 1.0\n" in text
-        manifest.write_text(
-            text.replace("\nintensity_range 0.0 1.0\n", f"\nintensity_range {line}\n")
-        )
+        manifest = scale_intensities(translation_dir, line)
         if big_frame:
             write_float_image(translation_dir / "frame_0001.pfm", np.full((49, 49), 1e30))
         with warnings.catch_warnings():
@@ -358,6 +362,18 @@ class TestFlowCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert "intensity_range" in err and (not big_frame or "frame_0001.pfm" in err)
+        assert not (tmp_path / "x").exists()
+
+    def test_overflowing_data_term_is_usage_error(self, tmp_path, capsys, translation_dir):
+        # a finite intensity scale whose squared derivatives overflow the energy
+        manifest = scale_intensities(translation_dir, "0.0 1e160")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            args = ["--manifest", str(manifest), "--method", "cg", "--out", str(tmp_path / "x")]
+            code = main(["flow"] + args)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "data term" in err
         assert not (tmp_path / "x").exists()
 
     def test_color_flag_writes_image(self, tmp_path, capsys, translation_dir):
@@ -400,6 +416,16 @@ class TestEnergyCommand:
         assert code == 0
         assert float(report["energy"]) >= 0.0
         assert float(report["grad_inf_norm"]) >= 0.0
+
+    def test_overflowing_data_term_is_usage_error(self, capsys, translation_dir):
+        manifest = scale_intensities(translation_dir, "0.0 1e160")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            args = ["--manifest", str(manifest), "--flow", str(translation_dir / "truth_0000_0001.flo")]
+            code = main(["energy"] + args)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "data term" in err
 
     def test_flow_shape_mismatch(self, tmp_path, capsys, translation_dir):
         bad = tmp_path / "bad.flo"

@@ -1,6 +1,7 @@
 """Public names of the package: every export resolves, the top level is
 pinned, and validation-only helpers stay out of the package."""
 
+import dataclasses
 import importlib
 
 import pytest
@@ -11,6 +12,8 @@ MODULES = ["cli", "geometry", "grid", "io", "model", "solver", "synth"]
 
 # validation-only helpers; they live in tests/reference.py
 TEST_ONLY = (
+    "surface_frame",
+    "SurfaceFrame",
     "christoffel_from_metric",
     "surface_gradient_coeffs",
     "embed_tangent",
@@ -62,3 +65,22 @@ def test_package_all_is_pinned():
 def test_validation_helpers_not_in_package(name):
     module = importlib.import_module(f"surfaceflow.{name}" if name else "surfaceflow")
     assert [attr for attr in TEST_ONLY if hasattr(module, attr)] == []
+
+
+def test_geometry_holds_only_what_the_energy_reads():
+    # the slopes, metric and inverse metric live in reference.surface_frame
+    names = [f.name for f in dataclasses.fields(surfaceflow.SurfaceGeometry)]
+    assert names == [
+        "spec",
+        "sqrt_detg",
+        "gamma1_11",
+        "gamma1_12",
+        "gamma1_22",
+        "gamma2_11",
+        "gamma2_12",
+        "gamma2_22",
+        "zt",
+        "evolving",
+    ]
+    methods = vars(surfaceflow.SurfaceGeometry).items()
+    assert [k for k, v in methods if callable(v) and not k.startswith("__")] == []

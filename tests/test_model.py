@@ -13,10 +13,11 @@ from surfaceflow.model import (
     problem_from_frames,
 )
 
-from conftest import random_geometry, random_problem, random_vector_field, smooth_field
+from conftest import random_heights, random_problem, random_vector_field, smooth_field
 from reference import (
     covariant_derivative,
     intrinsic_ofc_residual,
+    surface_frame,
     tangent_coords,
     tangential_surface_velocity,
 )
@@ -50,6 +51,21 @@ class TestFlowProblemValidation:
         zero = ScalarField.zeros(spec)
         with pytest.raises(ValueError, match="quadrature weights"):
             FlowProblem(geom=build_geometry(zero), fx1=zero, fx2=zero, ft=zero)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_data_term_rejected(self):
+        # every derivative is finite, but their squares overflow the energy
+        spec = GridSpec(4, 4)
+        zero = ScalarField.zeros(spec)
+        big = ScalarField.constant(spec, 1e160)
+        for fx1, fx2, ft in ((big, zero, zero), (zero, big, zero), (zero, zero, big)):
+            with pytest.raises(ValueError, match="data term"):
+                FlowProblem(geom=build_geometry(zero), fx1=fx1, fx2=fx2, ft=ft)
+        # a large alpha can carry a representable data term past the float range
+        half = ScalarField.constant(spec, 1e150)
+        with pytest.raises(ValueError, match="data term"):
+            FlowProblem(geom=build_geometry(zero), fx1=half, fx2=zero, ft=zero, alpha=1e10)
+        FlowProblem(geom=build_geometry(zero), fx1=half, fx2=zero, ft=zero)
 
     def test_spec_mismatch(self):
         geom = build_geometry(ScalarField.zeros(GridSpec(4, 4)))
@@ -276,18 +292,19 @@ class TestIntrinsicResidual:
         prob = random_problem(spec, rng)
         u = random_vector_field(spec, rng)
         direct = ofc_residual(prob, u)
-        intrinsic = intrinsic_ofc_residual(prob.geom, prob.fx1, prob.fx2, prob.ft, u)
+        frame = surface_frame(ScalarField.zeros(spec))
+        intrinsic = intrinsic_ofc_residual(frame, prob.fx1, prob.fx2, prob.ft, u)
         assert np.allclose(intrinsic.values, direct.values, atol=1e-12)
 
     def test_surface_carried_brightness(self, rng):
         # data constant in the parametrization (f_param_t = 0) moving with the
         # surface: the intrinsic residual vanishes
         spec = GridSpec(9, 8)
-        geom = random_geometry(spec, rng, amplitude=0.4, evolving=True)
+        frame = surface_frame(*random_heights(spec, rng, amplitude=0.4, evolving=True))
         fx1 = smooth_field(spec, rng)
         fx2 = smooth_field(spec, rng)
-        w = tangent_coords(geom, tangential_surface_velocity(geom))
-        out = intrinsic_ofc_residual(geom, fx1, fx2, ScalarField.zeros(spec), w)
+        w = tangent_coords(frame, tangential_surface_velocity(frame))
+        out = intrinsic_ofc_residual(frame, fx1, fx2, ScalarField.zeros(spec), w)
         assert np.max(np.abs(out.values)) <= 1e-10
 
     def test_relative_motion_identity(self, rng):
@@ -296,18 +313,19 @@ class TestIntrinsicResidual:
         # equality is pointwise linear algebra, so it holds to roundoff for
         # arbitrary data fields
         spec = GridSpec(9, 9)
-        geom = random_geometry(spec, rng, amplitude=0.5, evolving=True)
+        heights = random_heights(spec, rng, amplitude=0.5, evolving=True)
+        geom, frame = build_geometry(*heights), surface_frame(*heights)
         fx1 = smooth_field(spec, rng)
         fx2 = smooth_field(spec, rng)
         ft = smooth_field(spec, rng)
         u = random_vector_field(spec, rng)
-        w = tangent_coords(geom, tangential_surface_velocity(geom))
+        w = tangent_coords(frame, tangential_surface_velocity(frame))
         absolute = VectorField(
             spec,
             ScalarField(spec, u.u1.values + w.u1.values),
             ScalarField(spec, u.u2.values + w.u2.values),
         )
-        intrinsic = intrinsic_ofc_residual(geom, fx1, fx2, ft, absolute)
+        intrinsic = intrinsic_ofc_residual(frame, fx1, fx2, ft, absolute)
         prob = FlowProblem(geom=geom, fx1=fx1, fx2=fx2, ft=ft, alpha=1.0)
         pulled = ofc_residual(prob, u)
         assert np.allclose(intrinsic.values, pulled.values, atol=1e-10)
@@ -322,7 +340,7 @@ class TestProblemFromFrames:
         assert np.allclose(prob.ft.values, 0.5)
         assert np.allclose(prob.fx1.values, 0.1, atol=1e-14)
         assert prob.alpha == 10.0
-        assert np.all(prob.geom.detg.values == 1.0)
+        assert np.all(prob.geom.sqrt_detg.values == 1.0)
 
     def test_spec_mismatch(self):
         a = ScalarField.zeros(GridSpec(5, 5))

@@ -482,6 +482,28 @@ class TestSolve:
         assert curved <= 1.2 * flat
 
 
+class TestSteepSurfaces:
+    # paraboloid z = s * ((x1 - 8)^2 + (x2 - 8)^2) / 16 under the flat-translate
+    # frames: edge slopes reach s, so det g ranges from 1 at the apex to about
+    # 2 * s^2 at the corners
+    @pytest.mark.parametrize("scale", [1e2, 1e4, 1e6, 1e8])
+    def test_sor_and_cg_converge_to_one_flow(self, scale):
+        scene = make_scene("flat-translate", size=17, frame_count=2, noise_sigma=1e-3, seed=1)
+        frames, _, _ = render(scene)
+        spec = frames[0].spec
+        z = ScalarField.from_function(
+            spec, lambda x1, x2: scale * ((x1 - 8.0) ** 2 + (x2 - 8.0) ** 2) / 16.0
+        )
+        prob = problem_from_frames(frames[0], frames[1], build_geometry(z), alpha=10.0)
+        sor_flow, sor = solve(prob, SolverConfig(method="sor", tol=1e-6), track_energy=True)
+        cg_flow, cg = solve(prob, SolverConfig(method="cg", tol=1e-6))
+        assert sor.converged and cg.converged
+        trace = np.array(sor.energy_trace)
+        assert np.all(trace[1:] <= trace[:-1] + 1e-12 * np.abs(trace[:-1]))
+        assert np.max(np.abs(sor_flow.u1.values - cg_flow.u1.values)) <= 1e-6
+        assert np.max(np.abs(sor_flow.u2.values - cg_flow.u2.values)) <= 1e-6
+
+
 class TestNaturalBoundaryConditions:
     def test_pure_regularization_solution_satisfies_bc(self, rng):
         # with ft = 0 the minimizer from u0 = 0 is u = 0, whose covariant
