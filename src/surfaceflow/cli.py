@@ -220,25 +220,15 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _frame_pair(args, manifest: Manifest) -> tuple[int, int]:
-    i = args.frame
-    j = args.frame_b if args.frame_b is not None else i + 1
-    if not (0 <= i < j < manifest.frame_count):
-        raise ValueError(
-            f"frame pair ({i}, {j}) out of range for {manifest.frame_count} frames; "
-            "need 0 <= i < j < frame_count"
-        )
-    return i, j
-
-
 def _load_problem(args):
     manifest = read_manifest(args.manifest)
-    i, j = _frame_pair(args, manifest)
-    frames, heights = load_sequence(manifest)
+    i = args.frame
+    j = args.frame_b if args.frame_b is not None else i + 1
+    frame_i, frame_j, height_i = load_sequence(manifest, i, j)
     # the energy reads frame i's geometry only, never the height rate
     step = (j - i) * manifest.spec.dt
-    geom = build_geometry(heights[i])
-    problem = problem_from_frames(frames[i], frames[j], geom, alpha=args.alpha, dt=step)
+    geom = build_geometry(height_i)
+    problem = problem_from_frames(frame_i, frame_j, geom, alpha=args.alpha, dt=step)
     return manifest, problem, i, j
 
 

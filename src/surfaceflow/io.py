@@ -6,7 +6,8 @@ then raw 32-bit floats in bottom-to-top row order).  Flow fields use the
 Middlebury interchange layout: the 32-bit float 202021.25 as magic,
 little-endian int32 width and height, then row-major interleaved (u1, u2)
 float32 pairs, 12 + 8*width*height bytes total.  A manifest is a plain-text
-key/value file tying a frame sequence and its height maps to one grid.  All
+key/value file tying a frame sequence and its height maps to one grid;
+loading one frame pair opens only its two frames and one height map.  All
 byte layouts are documented in docs/formats.md; writers are canonical
 (single possible output), so write-read round-trips are bitwise identities.
 """
@@ -178,18 +179,25 @@ def read_manifest(path) -> Manifest:
     return manifest
 
 
-def load_sequence(manifest: Manifest):
-    """Load all frames and height maps; returns (frames, heights).
+def load_sequence(manifest: Manifest, i: int, j: int):
+    """Load frames i and j and the height map of frame i; returns
+    (frame_i, frame_j, height_i) as ScalarFields.
 
-    Both lists have one entry per frame; a static surface shares one
-    ScalarField across the heights list.  Stored intensities are treated as
-    fractions of ``intensity_range`` and mapped affinely onto it (the default
-    range [0, 1] leaves values untouched, bit for bit).  Heights are
-    geometric and never rescaled.  Missing files, wrong dimensions and
-    frames that the mapping carries to non-finite values raise ManifestError
-    naming the file; non-finite stored samples surface as FloatImageError
-    from the reader, also naming the file.
+    Only those three files are opened, so a long sequence costs what one
+    pair costs; a static surface's single map serves every frame.  A pair
+    outside ``0 <= i < j < frame_count`` raises a plain ValueError.  Stored
+    intensities are treated as fractions of ``intensity_range`` and mapped
+    affinely onto it (the default range [0, 1] leaves values untouched, bit
+    for bit).  Heights are geometric and never rescaled.  Missing files,
+    wrong dimensions and frames that the mapping carries to non-finite
+    values raise ManifestError naming the file; non-finite stored samples
+    surface as FloatImageError from the reader, also naming the file.
     """
+    if not (0 <= i < j < manifest.frame_count):
+        raise ValueError(
+            f"frame pair ({i}, {j}) out of range for {manifest.frame_count} frames; "
+            "need 0 <= i < j < frame_count"
+        )
     spec = manifest.spec
     lo, hi = manifest.intensity_range
 
@@ -205,21 +213,18 @@ def load_sequence(manifest: Manifest):
             )
         return values
 
-    frames = []
-    for rel in manifest.frame_paths:
+    def load_frame(k: int) -> ScalarField:
+        rel = manifest.frame_paths[k]
         values = load_field(rel)
         if (lo, hi) != (0.0, 1.0):
             with np.errstate(over="ignore"):
                 values = lo + values * (hi - lo)
             if not np.all(np.isfinite(values)):
                 raise ManifestError(f"{manifest.base_dir / rel}: intensity_range mapping overflows")
-        frames.append(ScalarField(spec, values))
-    if manifest.static_surface:
-        shared = ScalarField(spec, load_field(manifest.height_paths[0]))
-        heights = [shared] * manifest.frame_count
-    else:
-        heights = [ScalarField(spec, load_field(rel)) for rel in manifest.height_paths]
-    return frames, heights
+        return ScalarField(spec, values)
+
+    height = manifest.height_paths[0 if manifest.static_surface else i]
+    return load_frame(i), load_frame(j), ScalarField(spec, load_field(height))
 
 
 def write_float_image(path, values) -> None:

@@ -1,15 +1,24 @@
+import contextlib
+import dataclasses
 import filecmp
+import io
 import math
+import shutil
 import warnings
 
 import numpy as np
 import pytest
 
+import surfaceflow.cli
+import surfaceflow.io
 from surfaceflow.cli import angular_error_deg, endpoint_error, main
 from surfaceflow.geometry import build_geometry
+from surfaceflow.grid import ScalarField
 from surfaceflow.io import (
+    ManifestError,
     colorize,
     load_sequence,
+    read_float_image,
     read_flow,
     read_manifest,
     write_float_image,
@@ -18,6 +27,7 @@ from surfaceflow.io import (
 )
 from surfaceflow.model import problem_from_frames
 from surfaceflow.solver import METHOD_ALIASES, SolverConfig, solve
+from surfaceflow.synth import Translation, make_scene
 
 
 def run_cli(capsys, *argv):
@@ -320,9 +330,10 @@ class TestFlowCommand:
         assert report["frame_b"] == "2"
         # the library with the height rate of frames 0 -> 2 gives the same
         # bytes as the CLI, which builds the geometry from height map 0 alone
-        frames, heights = load_sequence(read_manifest(scene / "manifest.txt"))
-        geom = build_geometry(heights[0], heights[2], dt=2.0)
-        flow, _ = solve(problem_from_frames(frames[0], frames[2], geom, dt=2.0), SolverConfig())
+        frame_0, frame_2, height_0 = load_sequence(read_manifest(scene / "manifest.txt"), 0, 2)
+        z_next = ScalarField(height_0.spec, read_float_image(scene / "height_0002.pfm"))
+        geom = build_geometry(height_0, z_next, dt=2.0)
+        flow, _ = solve(problem_from_frames(frame_0, frame_2, geom, dt=2.0), SolverConfig())
         write_flow(tmp_path / "library.flo", flow)
         assert (out / "flow_0000_0002.flo").read_bytes() == (tmp_path / "library.flo").read_bytes()
 
@@ -376,6 +387,22 @@ class TestFlowCommand:
         assert err.startswith("error:") and err.count("\n") == 1 and "data term" in err
         assert not (tmp_path / "x").exists()
 
+    # constant frames on a curved, evolving surface carry no motion at all
+    @pytest.mark.parametrize("method", ["sor", "cg"])
+    def test_textureless_frames_give_zero_flow(self, tmp_path, capsys, method):
+        scene = tmp_path / "bump"
+        code, _ = run_cli(capsys, "synth", "moving-bump", "--out", str(scene), "--size", "17")
+        assert code == 0
+        for name in ("frame_0000.pfm", "frame_0001.pfm"):
+            write_float_image(scene / name, np.full((17, 17), 0.5))
+        out = tmp_path / "run"
+        args = ["--manifest", str(scene / "manifest.txt"), "--method", method, "--out", str(out)]
+        code, report = run_cli(capsys, "flow", *args)
+        assert code == 0
+        assert report["converged"] == "true" and report["iterations"] == "0"
+        u1, u2 = read_flow(out / "flow_0000_0001.flo")
+        assert np.all(u1 == 0.0) and np.all(u2 == 0.0)
+
     def test_color_flag_writes_image(self, tmp_path, capsys, translation_dir):
         out = tmp_path / "run"
         code, _ = run_cli(
@@ -391,6 +418,86 @@ class TestFlowCommand:
         data = (out / "flow_0000_0001.ppm").read_bytes()
         assert data.startswith(b"P6\n49 49\n255\n")
 
+
+@pytest.fixture(scope="module")
+def long_bump(tmp_path_factory):
+    """A 77-frame moving-bump dataset at 17² and the CLI's flow for its pair (57, 58).
+
+    The catalog scene moves its pattern one pixel per frame, which leaves a
+    17² grid long before frame 76, so ``synth`` renders it at 0.05 pixel per
+    frame; the surface evolves as in the catalog.
+    """
+    root = tmp_path_factory.mktemp("long")
+    scene, out = root / "bump", root / "run"
+
+    def slowed(*args, **kwargs):
+        return dataclasses.replace(make_scene(*args, **kwargs), motion=Translation(0.05, 0.0))
+
+    with contextlib.redirect_stdout(io.StringIO()):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(surfaceflow.cli, "make_scene", slowed)
+            synth = ["synth", "moving-bump", "--out", str(scene), "--size", "17", "--frames", "77"]
+            assert main(synth) == 0
+        manifest = str(scene / "manifest.txt")
+        assert main(["flow", "--manifest", manifest, "--frame", "57", "--out", str(out)]) == 0
+    return scene, (out / "flow_0057_0058.flo").read_bytes()
+
+
+class TestLongSequence:
+    """A pair of a long sequence reads its two frames and one height map only."""
+
+    def flow_57(self, scene, out):
+        manifest = str(scene / "manifest.txt")
+        return main(["flow", "--manifest", manifest, "--frame", "57", "--out", str(out)])
+
+    def test_flow_and_energy_read_three_maps(self, tmp_path, capsys, monkeypatch, long_bump):
+        scene, _ = long_bump
+        opened = []
+
+        def counting_reader(path):
+            opened.append(path)
+            return read_float_image(path)
+
+        monkeypatch.setattr(surfaceflow.io, "read_float_image", counting_reader)
+        pair_maps = ["frame_0057.pfm", "frame_0058.pfm", "height_0057.pfm"]
+        assert self.flow_57(scene, tmp_path / "run") == 0
+        assert len(opened) == 3
+        flow_file = str(tmp_path / "run" / "flow_0057_0058.flo")
+        args = ["--manifest", str(scene / "manifest.txt"), "--frame", "57", "--flow", flow_file]
+        code, _ = run_cli(capsys, "energy", *args)
+        assert code == 0
+        assert len(opened) == 6
+        assert [p.name for p in opened] == pair_maps * 2
+
+    def test_flow_matches_library_on_the_three_maps(self, tmp_path, long_bump):
+        scene, cli_bytes = long_bump
+        spec = read_manifest(scene / "manifest.txt").spec
+        field = lambda name: ScalarField(spec, read_float_image(scene / name))
+        geom = build_geometry(field("height_0057.pfm"))
+        problem = problem_from_frames(field("frame_0057.pfm"), field("frame_0058.pfm"), geom)
+        flow, _ = solve(problem, SolverConfig())
+        write_flow(tmp_path / "library.flo", flow)
+        assert (tmp_path / "library.flo").read_bytes() == cli_bytes
+
+    def test_unread_frame_is_not_checked(self, tmp_path, capsys, long_bump):
+        scene = shutil.copytree(long_bump[0], tmp_path / "bump")
+        (scene / "frame_0003.pfm").write_bytes(b"garbage")
+        assert self.flow_57(scene, tmp_path / "run") == 0
+        assert (tmp_path / "run" / "flow_0057_0058.flo").read_bytes() == long_bump[1]
+
+    def test_corrupt_pair_frame_is_io_error(self, tmp_path, capsys, long_bump):
+        scene = shutil.copytree(long_bump[0], tmp_path / "bump")
+        (scene / "frame_0058.pfm").write_bytes(b"garbage")
+        assert self.flow_57(scene, tmp_path / "run") == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "frame_0058.pfm" in err
+
+    @pytest.mark.parametrize("i, j", [(1, 1), (-1, 0)])
+    def test_bad_pair_is_value_error(self, long_bump, i, j):
+        manifest = read_manifest(long_bump[0] / "manifest.txt")
+        with pytest.raises(ValueError, match="out of range") as info:
+            load_sequence(manifest, i, j)
+        assert not isinstance(info.value, ManifestError)
 
 class TestEnergyCommand:
     def test_energy_of_written_flow(self, tmp_path, capsys, translation_dir):

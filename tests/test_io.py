@@ -264,14 +264,15 @@ class TestLoadSequence:
             height_paths=("z.pfm",),
             base_dir=tmp_path,
         )
-        frames, heights = load_sequence(manifest)
-        assert len(frames) == 2
-        assert frames[0].spec.width == 512
+        frame_0, frame_1, height_0 = load_sequence(manifest, 0, 1)
+        assert frame_0.spec.width == 512
+        assert frame_1.spec.shape == height_0.spec.shape == (512, 512)
 
     def test_static_surface_broadcast(self, tmp_path):
         spec = GridSpec(16, 16)
         frame_names = [f"f{k}.pfm" for k in range(77)]
-        write_fields(tmp_path, frame_names + ["z.pfm"], spec)
+        write_fields(tmp_path, frame_names, spec)
+        write_fields(tmp_path, ["z.pfm"], spec, value=0.75)
         manifest = Manifest(
             version=1,
             spec=spec,
@@ -279,10 +280,9 @@ class TestLoadSequence:
             height_paths=("z.pfm",),
             base_dir=tmp_path,
         )
-        frames, heights = load_sequence(manifest)
-        assert len(frames) == 77
-        assert len(heights) == 77
-        assert all(h is heights[0] for h in heights)
+        # a late pair of a static surface reads the one shared map
+        _, _, height_57 = load_sequence(manifest, 57, 58)
+        assert np.array_equal(height_57.values, read_float_image(tmp_path / "z.pfm"))
 
     def test_dimension_mismatch_names_file(self, tmp_path):
         spec = GridSpec(8, 8)
@@ -296,7 +296,7 @@ class TestLoadSequence:
             base_dir=tmp_path,
         )
         with pytest.raises(ManifestError, match="short.pfm"):
-            load_sequence(manifest)
+            load_sequence(manifest, 0, 1)
 
     def test_intensity_mapping(self, tmp_path):
         spec = GridSpec(4, 4)
@@ -304,15 +304,15 @@ class TestLoadSequence:
         manifest = Manifest(
             version=1,
             spec=spec,
-            frame_paths=("f.pfm",),
+            frame_paths=("f.pfm", "f.pfm"),
             height_paths=("z.pfm",),
             intensity_range=(2.0, 6.0),
             base_dir=tmp_path,
         )
-        frames, heights = load_sequence(manifest)
+        frame_0, _, height_0 = load_sequence(manifest, 0, 1)
         # frames map 0.25 -> 2 + 0.25 * 4; heights stay in raw units
-        assert np.allclose(frames[0].values, 3.0)
-        assert np.allclose(heights[0].values, 0.25)
+        assert np.allclose(frame_0.values, 3.0)
+        assert np.allclose(height_0.values, 0.25)
 
     def test_intensity_overflow_names_frame(self, tmp_path):
         spec = GridSpec(4, 4)
@@ -329,7 +329,7 @@ class TestLoadSequence:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ManifestError, match="f1.pfm"):
-                load_sequence(manifest)
+                load_sequence(manifest, 0, 1)
 
     def test_default_range_is_bitwise_identity(self, tmp_path, rng):
         spec = GridSpec(5, 5)
@@ -339,12 +339,12 @@ class TestLoadSequence:
         manifest = Manifest(
             version=1,
             spec=spec,
-            frame_paths=("f.pfm",),
+            frame_paths=("f.pfm", "f.pfm"),
             height_paths=("z.pfm",),
             base_dir=tmp_path,
         )
-        frames, _ = load_sequence(manifest)
-        assert np.array_equal(frames[0].values, raw)
+        frame_0, _, _ = load_sequence(manifest, 0, 1)
+        assert np.array_equal(frame_0.values, raw)
 
 
 class TestColorWheel:

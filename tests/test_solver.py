@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import surfaceflow.solver as solver
 from surfaceflow.grid import GridSpec, ScalarField, VectorField, coordinate_arrays
-from surfaceflow.geometry import build_geometry
+from surfaceflow.geometry import build_geometry, flat_geometry
 from surfaceflow.model import (
     FlowProblem,
     _gradient_arrays,
@@ -503,6 +503,23 @@ class TestSteepSurfaces:
         assert np.max(np.abs(sor_flow.u1.values - cg_flow.u1.values)) <= 1e-6
         assert np.max(np.abs(sor_flow.u2.values - cg_flow.u2.values)) <= 1e-6
 
+
+
+class TestTexturelessFrames:
+    # constant frames have no spatial or temporal derivative, so the data term
+    # vanishes, E(0) = 0 is the minimum and the gradient there is exactly zero
+    @pytest.mark.parametrize("method", ["sor", "cg"])
+    @pytest.mark.parametrize("curved", [False, True])
+    def test_zero_flow_in_zero_iterations(self, rng, method, curved):
+        spec = GridSpec(12, 10)
+        geom = random_geometry(spec, rng) if curved else flat_geometry(spec)
+        frame = ScalarField.constant(spec, 0.4)
+        prob = problem_from_frames(frame, frame, geom, alpha=10.0)
+        flow, report = solve(prob, SolverConfig(method=method))
+        assert report.converged
+        assert report.iterations == 0
+        assert report.energy_final == 0.0
+        assert np.all(flow.u1.values == 0.0) and np.all(flow.u2.values == 0.0)
 
 class TestNaturalBoundaryConditions:
     def test_pure_regularization_solution_satisfies_bc(self, rng):
