@@ -9,13 +9,12 @@ one-dimensional stencils composed with their adjoints) or joins the two flow
 components at one point, so A is a 9-offset "plus" stencil with 2x2 blocks:
 (A u)_i(q) = sum over d of c[d, i, k](q) u_k(q + d), for d in (0, 0),
 (0, +-1), (0, +-2), (+-1, 0) and (+-2, 0).  Applying A to the indicator
-fields of a (row mod p, col mod p) coloring reads the coefficients off
-exactly (column grouping, after Curtis, Powell & Reid, 1974) once each
-wanted offset of a grid point is the only stencil point in its color.  The
-diagonal alone needs a period that divides no offset (3, so 18 applies);
-the whole stencil one that divides no difference of two offsets, up to 4
-(5, so 50 applies).  The inverted 2x2 diagonal blocks are the offset-0
-slice.
+fields of a coloring reads the coefficients off exactly (column grouping,
+after Curtis, Powell & Reid, 1974) once each wanted offset of a grid point is
+the only stencil point in its color.  The lattice colorings (row + k col)
+mod m of Goldfarb & Toint (1984) need fewest: m = 3, k = 1 for the diagonal
+(6 applies), m = 10, k = 3 for the whole stencil (20 applies).  The inverted
+2x2 diagonal blocks are the offset-0 slice.
 
 Block SOR sweeps a 16-coloring of the grid, (row mod 4, col mod 4).  Same-
 color unknowns never interact, so the color's principal submatrix is exactly
@@ -23,10 +22,11 @@ the per-point 2x2 diagonal blocks, and each exact block update changes the
 energy by -omega*(1 - omega/2) * g^T A_BB^{-1} g <= 0 for omega in (0, 2).
 That makes every sweep monotone in exact arithmetic, which red-black
 coloring would not be here (the wide second-difference composition couples
-same-parity neighbours).  Each color computes its residual b + sum c * u on
-its own points only, from the probed stencil and the flow padded by two
-zeros, so that every offset is one strided view.  CG keeps the matrix-free
-apply and takes its preconditioner blocks from the period-3 probe.  The
+same-parity neighbours).  The stencil, b and the inverted blocks are stored
+color by color, so a color's residual b + sum c * u on its own points is one
+gather of the flow (padded by two zeros) and one sum, and a sweep's stopping
+residual is the same sum over the whole grid.  CG keeps the matrix-free
+apply and takes its preconditioner blocks from the diagonal probe.  The
 inverted blocks are a stacked diagonal (i11, i22) and an off-diagonal i12,
 and ``_block_solve`` alone applies them, as SOR's color update and as CG's
 block Jacobi preconditioner.  CG's vector updates allocate their results.
@@ -37,15 +37,15 @@ is the one iteration driver.  It owns ``tol``, ``max_iter`` and the energy
 trace: it checks the initial guess, caps the steps at ``max_iter`` and stops
 once a step's max-norm is within ``tol``.  Each method is a step generator
 that sets itself up on its first step, then updates the flow in place and
-yields the gradient max-norm its iteration computes: SOR the true one, CG its
-recurrence residual, which drifts from the true gradient by rounding.  So the
-report's ``grad_inf_norm`` and ``converged`` read the true gradient at the
-returned flow, for both methods.
+yields the gradient max-norm its iteration computes: SOR's from the probed
+stencil, CG's recurrence residual; both differ from the true gradient by
+rounding.  So the report's ``grad_inf_norm`` and ``converged`` read the true
+gradient at the returned flow, for both methods.
 
 Counted in gradient applies, a solve that iterates costs 2 at setup (the
-initial gradient and b), then the probe, 50 for SOR or 18 for CG, then 1 per
-SOR sweep (the residual that the stopping rule reads) or 1 per CG iteration,
-and 1 at the end for the gradient at the returned flow.
+initial gradient and b), then the probe, 20 for SOR or 6 for CG, then none
+per SOR sweep and 1 per CG iteration, and 1 at the end for the gradient at
+the returned flow.
 """
 
 from __future__ import annotations
@@ -196,38 +196,37 @@ def _apply(problem, b, p):
     return g
 
 
+def _lattice(offsets):
+    """The fewest-color lattice coloring (row + k col) mod m, as (m, k), that
+    leaves q + d alone among q's stencil points in its color, for each d in ``offsets``."""
+    return next(
+        (m, k)
+        for m in itertools.count(1)
+        for k in range(m)
+        if all((s[0] - d[0] + k * (s[1] - d[1])) % m for d in offsets for s in _STENCIL if s != d)
+    )
+
+
 def _probe(problem, b, offsets):
     """A's coefficients at ``offsets`` (a subset of ``_STENCIL``), read off exactly.
 
     Returns c of shape (len(offsets), 2, 2, height, width) with
     (A u)_i(q) = sum over d of c[d, i, k](q) u_k(q + d); c[d] is zero where
-    q + d leaves the grid.  The period p of the (row mod p, col mod p)
-    coloring is the smallest at which q + d is the only stencil point of q
-    in its color, so each of the 2 p^2 applies yields c[d] on the points q
-    whose q + d carries the probed color.
+    q + d leaves the grid.  Each of the 2 m applies of the ``_lattice``
+    coloring yields c[d] on the points q whose q + d carries the probed color.
     """
-    period = next(
-        p
-        for p in itertools.count(1)
-        if all(
-            (s[0] - d[0]) % p or (s[1] - d[1]) % p
-            for d in offsets
-            for s in _STENCIL
-            if s != d
-        )
-    )
-    shape = problem.spec.shape
-    coeffs = np.empty((len(offsets), 2, 2) + shape)
-    for a in range(period):
-        for c in range(period):
-            for k in range(2):
-                e = np.zeros((2,) + shape)
-                e[k, a::period, c::period] = 1.0
-                y = _apply(problem, b, e)
-                for n, (dr, dc) in enumerate(offsets):
-                    rows = slice((a - dr) % period, None, period)
-                    cols = slice((c - dc) % period, None, period)
-                    coeffs[n, :, k, rows, cols] = y[:, rows, cols]
+    m, k = _lattice(offsets)
+    coeffs = np.empty((len(offsets), 2, 2) + problem.spec.shape)
+    for a, j in itertools.product(range(m), range(2)):
+        # color a holds the rows (a - k s) mod m of each column class s mod m
+        e = np.zeros((2,) + problem.spec.shape)
+        for s in range(m):
+            e[j, (a - k * s) % m :: m, s::m] = 1.0
+        y = _apply(problem, b, e)
+        for n, (dr, dc) in enumerate(offsets):
+            for s in range(m):
+                rows = slice((a - dr - k * (s + dc)) % m, None, m)
+                coeffs[n, :, j, rows, s::m] = y[:, rows, s::m]
     return coeffs
 
 
@@ -252,36 +251,43 @@ def _sor_steps(problem, config, b, g, u):
     """16-color exact block SOR on the probed stencil, from ``u`` alone (``g``
     goes unused); each sweep copies the padded flow's interior into ``u``."""
     coeffs = _probe(problem, b, _STENCIL)
-    diagonal, off_diagonal = _inverse_blocks(coeffs[0])
-    flow = np.pad(u, ((0, 0), (2, 2), (2, 2)))
-    inner = flow[:, 2:-2, 2:-2]
+    height, width = problem.spec.shape
+    flow = np.zeros((2, height + 4, width + 4))
+    flow[:, 2:-2, 2:-2] = u
     omega = config.omega
 
-    # per color: its coefficients, the flow at each stencil offset of its
-    # points (all views), its part of b and its inverted blocks
-    colors = []
-    for a, c in _COLORS:
-        rows, cols = slice(a, None, 4), slice(c, None, 4)
-        m, n = off_diagonal[rows, cols].shape
-        shifted = [
-            flow[:, 2 + a + dr : 2 + a + dr + 4 * m : 4, 2 + c + dc : 2 + c + dc + 4 * n : 4]
-            for dr, dc in _STENCIL
-        ]
-        inverse = diagonal[:, rows, cols], off_diagonal[rows, cols]
-        colors.append((coeffs[..., rows, cols], shifted, b[:, rows, cols], inverse))
+    # the points color by color, each color row-major, for the coefficients
+    # (permuted in place), b, the inverted blocks and idx, the flat index into
+    # a padded flow component of each point's sample at each offset
+    rows, cols = np.indices((height, width)).reshape(2, -1)
+    order = np.argsort(rows % 4 * 4 + cols % 4, kind="stable")
+    for part in coeffs.reshape(len(_STENCIL), 4, -1):
+        part[...] = part.take(order, axis=1)
+    coeffs = coeffs.reshape(len(_STENCIL), 2, 2, -1)
+    b = b.reshape(2, -1).take(order, axis=1)
+    diagonal, off_diagonal = _inverse_blocks(coeffs[0])
+    offset = np.array([dr * (width + 4) + dc for dr, dc in _STENCIL])
+    idx = (rows[order] + 2) * (width + 4) + cols[order] + 2 + offset[:, None]
+    samples = flow.reshape(2, -1)
+    del rows, cols, order
+    # per color: its points in the padded flow (a view) and its slice of the rest
+    owns = [flow[:, 2 + a : 2 + height : 4, 2 + c : 2 + width : 4] for a, c in _COLORS]
+    bounds = np.cumsum([own[0].size for own in owns])[:-1]
+    split = (np.split(x, bounds, axis=-1) for x in (coeffs, idx, b, diagonal, off_diagonal))
+    colors = list(zip(owns, *split))
 
     while True:
-        for coeff, shifted, b_color, (diagonal_color, off_color) in colors:
-            residual = b_color + np.einsum("dikyx,dkyx->iyx", coeff, np.stack(shifted))
-            shifted[0] -= omega * _block_solve(diagonal_color, off_color, residual)
-        u[...] = inner
-        yield _max_norm(_gradient_arrays(problem, u))
+        for own, coeff, index, b_color, diagonal_color, off_color in colors:
+            residual = b_color + np.einsum("dikn,kdn->in", coeff, samples.take(index, axis=1))
+            own -= omega * _block_solve(diagonal_color, off_color, residual).reshape(own.shape)
+        u[...] = flow[:, 2:-2, 2:-2]
+        yield _max_norm(b + np.einsum("dikn,kdn->in", coeffs, samples.take(idx, axis=1)))
 
 
 def _cg_steps(problem, config, b, g, u):
     """Conjugate gradients on A u = -b from the gradient ``g`` at ``u``,
     preconditioned by the 2x2 blocks; yields the recurrence residual's
-    max-norm and ends on a direction of zero curvature."""
+    max-norm and ends on a direction of zero curvature or a rounding-level residual."""
     diagonal, off_diagonal = _inverse_blocks(_probe(problem, b, _STENCIL[:1])[0])
 
     def dot(x, y):
@@ -290,9 +296,11 @@ def _cg_steps(problem, config, b, g, u):
         return float(np.sum(xy[0]) + np.sum(xy[1]))
 
     r = -g
+    res = _max_norm(r)
+    floor = np.finfo(float).eps * res  # the recurrence's rounding level
     p = z = _block_solve(diagonal, off_diagonal, r)
     rz = dot(r, z)
-    while True:
+    while res > floor:
         q = _apply(problem, b, p)
         p_dot_q = dot(p, q)
         if p_dot_q <= 0.0:
@@ -302,7 +310,8 @@ def _cg_steps(problem, config, b, g, u):
         step = rz / p_dot_q
         u += step * p
         r -= step * q
-        yield _max_norm(r)
+        res = _max_norm(r)
+        yield res
         z = _block_solve(diagonal, off_diagonal, r)
         rz_next = dot(r, z)
         p = z + (rz_next / rz) * p

@@ -5,7 +5,7 @@ graph's tangent frame and metric, which the energy never reads, the general
 Levi-Civita formula against the closed-form graph Christoffel symbols, the surface form of the optical-flow constraint against the
 pulled-back residual, the natural boundary condition of converged flows,
 brightness constancy along ground-truth trajectories, and the solver's
-probed stencil against whole-grid applies.  Unlike
+probed stencil against whole-grid applies and a square-coloring probe.  Unlike
 ``oracles``, they build on the package's grid stencils and containers;
 :func:`covariant_derivative` wraps the package's own covariant-derivative
 kernel, so tests of it exercise the code the energy uses.
@@ -14,6 +14,8 @@ kernel, so tests of it exercise the code the energy uses.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import itertools
 
 import numpy as np
 
@@ -28,7 +30,7 @@ from surfaceflow.grid import (
     diff_x2_array,
 )
 from surfaceflow.model import FlowProblem, _covd_arrays, _gradient_arrays
-from surfaceflow.solver import SolverConfig, _STENCIL, _inverse_blocks, _probe
+from surfaceflow.solver import SolverConfig, _STENCIL, _apply, _inverse_blocks, _probe
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +282,36 @@ def check_natural_bc(geom: SurfaceGeometry, u: VectorField) -> ScalarField:
 # ---------------------------------------------------------------------------
 # the probed stencil form of the solver's operator
 # ---------------------------------------------------------------------------
+
+
+def square_probe(problem: FlowProblem, b: np.ndarray, offsets) -> np.ndarray:
+    """The solver's probe with a square coloring: the same c[d, i, k] array,
+    read from the 2 p^2 applies of the (row mod p, col mod p) coloring whose
+    period p is the smallest at which q + d is the only stencil point of q in
+    its color (5 for the whole stencil, 3 for the diagonal)."""
+    period = next(
+        p
+        for p in itertools.count(1)
+        if all(
+            (s[0] - d[0]) % p or (s[1] - d[1]) % p
+            for d in offsets
+            for s in _STENCIL
+            if s != d
+        )
+    )
+    shape = problem.spec.shape
+    coeffs = np.empty((len(offsets), 2, 2) + shape)
+    for a in range(period):
+        for c in range(period):
+            for k in range(2):
+                e = np.zeros((2,) + shape)
+                e[k, a::period, c::period] = 1.0
+                y = _apply(problem, b, e)
+                for n, (dr, dc) in enumerate(offsets):
+                    rows = slice((a - dr) % period, None, period)
+                    cols = slice((c - dc) % period, None, period)
+                    coeffs[n, :, k, rows, cols] = y[:, rows, cols]
+    return coeffs
 
 
 def stencil_apply(coeffs: np.ndarray, u1: np.ndarray, u2: np.ndarray):

@@ -23,7 +23,7 @@ from conftest import (
     random_problem,
     random_vector_field,
 )
-from reference import check_natural_bc, full_apply_sor, stencil_apply
+from reference import check_natural_bc, full_apply_sor, square_probe, stencil_apply
 
 
 def quadratic_translation_problem(n, extent=4.0, alpha=10.0):
@@ -145,6 +145,23 @@ class TestAssemble:
             assert np.max(np.abs(mine - ref)) <= 1e-12 * scale
 
 
+def drawn_problem(height, width, surface, rng):
+    """A random problem on a flat, curved or evolving surface, with random h and alpha."""
+    spec = GridSpec(width, height, h=rng.uniform(0.2, 2.0))
+    geom = (
+        build_geometry(ScalarField.zeros(spec))
+        if surface == "flat"
+        else random_geometry(spec, rng, amplitude=0.5, evolving=surface == "evolving")
+    )
+    return FlowProblem(
+        geom=geom,
+        fx1=random_field(spec, rng),
+        fx2=random_field(spec, rng),
+        ft=random_field(spec, rng),
+        alpha=rng.uniform(0.1, 100.0),
+    )
+
+
 def probed(prob):
     """b = grad E(0) and the whole probed stencil of ``prob``."""
     b = _gradient_arrays(prob, np.zeros((2,) + prob.spec.shape))
@@ -161,19 +178,8 @@ class TestStencil:
     @settings(max_examples=40, deadline=None)
     def test_probe_matches_matrix_free_apply(self, height, width, surface, seed):
         rng = np.random.default_rng(seed)
-        spec = GridSpec(width, height, h=rng.uniform(0.2, 2.0))
-        geom = (
-            build_geometry(ScalarField.zeros(spec))
-            if surface == "flat"
-            else random_geometry(spec, rng, amplitude=0.5, evolving=surface == "evolving")
-        )
-        prob = FlowProblem(
-            geom=geom,
-            fx1=random_field(spec, rng),
-            fx2=random_field(spec, rng),
-            ft=random_field(spec, rng),
-            alpha=rng.uniform(0.1, 100.0),
-        )
+        prob = drawn_problem(height, width, surface, rng)
+        spec = prob.spec
         b, coeffs = probed(prob)
         # coefficients reaching off the grid are exactly zero, so the solver
         # may pad the flow with anything finite
@@ -237,6 +243,48 @@ class TestStencil:
             gap = max(np.max(np.abs(flow.u1.values - u1)), np.max(np.abs(flow.u2.values - u2)))
             assert gap <= 1e-12 * max(1.0, float(np.max(np.abs(u1))), float(np.max(np.abs(u2))))
 
+    def test_lattice_colorings(self):
+        # 10 colors separate the whole stencil, 3 its center
+        assert solver._lattice(solver._STENCIL) == (10, 3)
+        assert solver._lattice(solver._STENCIL[:1]) == (3, 1)
+
+    @given(
+        height=st.integers(3, 12),
+        width=st.integers(3, 12),
+        surface=st.sampled_from(["flat", "curved", "evolving"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_lattice_probe_matches_square_probe(self, height, width, surface, seed):
+        rng = np.random.default_rng(seed)
+        prob = drawn_problem(height, width, surface, rng)
+        spec = prob.spec
+        b = _gradient_arrays(prob, np.zeros((2,) + spec.shape))
+        for offsets in (solver._STENCIL, solver._STENCIL[:1]):
+            mine = solver._probe(prob, b, offsets)
+            ref = square_probe(prob, b, offsets)
+            assert mine.shape == ref.shape == (len(offsets), 2, 2) + spec.shape
+            assert np.array_equal(mine.view(np.int64), ref.view(np.int64))
+
+    @given(
+        height=st.integers(3, 14),
+        width=st.integers(3, 14),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_sor_residual_matches_gradient(self, height, width, seed):
+        # each sweep's stopping residual, read from the probed stencil, is
+        # the max-norm of the matrix-free gradient at the swept flow
+        rng = np.random.default_rng(seed)
+        prob = random_problem(GridSpec(width, height), rng, curved=True)
+        u = np.zeros((2,) + prob.spec.shape)
+        b = _gradient_arrays(prob, u)
+        sweeps = solver._sor_steps(prob, SolverConfig(), b, b.copy(), u)
+        for _ in range(6):
+            res = next(sweeps)
+            ref = solver._max_norm(_gradient_arrays(prob, u))
+            assert abs(res - ref) <= 1e-12 * ref
+
 
 def assert_block_solve_inverts(block, x):
     """The inverted blocks undo the blocks: ``_block_solve`` of A_qq x is x."""
@@ -298,6 +346,17 @@ class TestBlocks:
             solver._inverse_blocks(block)
 
 
+def regularizer_only_problem(seed):
+    """A 3x3 flat problem with no data term, so the energy is the regularizer
+    alone, and a random initial guess drawn from ``seed``."""
+    spec = GridSpec(3, 3)
+    zero = ScalarField.zeros(spec)
+    prob = FlowProblem(geom=build_geometry(zero), fx1=zero, fx2=zero, ft=zero)
+    draws = np.random.default_rng(seed)
+    u0 = VectorField.from_arrays(spec, draws.standard_normal((3, 3)), draws.standard_normal((3, 3)))
+    return prob, u0
+
+
 class TestSolve:
     def test_flat_quadratic_recovery(self):
         prob = quadratic_translation_problem(33, extent=4.0)
@@ -352,13 +411,14 @@ class TestSolve:
         assert report.iterations == 1
         assert report.energy_final <= report.energy_initial + 1e-12
 
-    @pytest.mark.parametrize("method, per_iter", [("sor", 1), ("cg", 1)])
+    @pytest.mark.parametrize("method, per_iter", [("sor", 0), ("cg", 1)])
     @pytest.mark.parametrize("k", [1, 3])
     def test_apply_budget(self, monkeypatch, rng, method, per_iter, k):
-        # setup: 1 initial gradient + 1 for b + the stencil probe, 50 for
-        # SOR's whole stencil or 18 for CG's diagonal blocks; finish: 1 for
-        # the gradient at the returned flow
-        setup = {"sor": 2 + 50, "cg": 2 + 18}[method]
+        # setup: 1 initial gradient + 1 for b + the stencil probe, 20 for
+        # SOR's whole stencil or 6 for CG's diagonal blocks; per iteration:
+        # none for an SOR sweep (its residual comes from the stencil), 1 for
+        # CG; finish: 1 for the gradient at the returned flow
+        setup = {"sor": 2 + 20, "cg": 2 + 6}[method]
         import surfaceflow.solver as solver_module
 
         calls = []
@@ -444,23 +504,25 @@ class TestSolve:
         assert norm > config.tol and not report.converged
 
     def test_cg_breakdown_reports_true_gradient(self):
-        # with no data term the energy is the regularizer alone; CG reaches
-        # its zero-energy minimizer, then meets p.q <= 0 before its
-        # recurrence residual (still 19.3) falls to tol
-        spec = GridSpec(3, 3)
-        zero = ScalarField.zeros(spec)
-        prob = FlowProblem(geom=build_geometry(zero), fx1=zero, fx2=zero, ft=zero)
-        draws = np.random.default_rng(1)
-        u0 = VectorField.from_arrays(
-            spec, draws.standard_normal((3, 3)), draws.standard_normal((3, 3))
-        )
+        # CG's recurrence residual falls to rounding level (1.6e-16) at
+        # iteration 5, where CG ends as a breakdown instead of stepping on the
+        # noise
+        prob, u0 = regularizer_only_problem(seed=1)
         config = SolverConfig(method="cg", tol=1e-300, max_iter=1000)
         flow, report = solve(prob, config, u0=u0)
-        assert report.iterations == 14
-        assert report.energy_final == 0.0 == energy(prob, flow)
+        assert report.iterations == 5
+        assert report.energy_final == energy(prob, flow) <= 1e-30
         grad = energy_gradient(prob, flow)
-        assert np.all(grad.u1.values == 0.0) and np.all(grad.u2.values == 0.0)
-        assert report.grad_inf_norm == 0.0 and report.converged
+        norm = max(float(np.max(np.abs(grad.u1.values))), float(np.max(np.abs(grad.u2.values))))
+        assert report.grad_inf_norm == norm and not report.converged
+
+    def test_cg_ends_below_attainable_tol(self):
+        # a tol below rounding level: stepping on the recurrence's noise used
+        # to raise the energy from 12.8 to 142 and the report to reject it
+        prob, u0 = regularizer_only_problem(seed=0)
+        _, report = solve(prob, SolverConfig(method="cg", tol=1e-20), u0=u0)
+        assert not report.converged
+        assert report.energy_final <= report.energy_initial
 
     def test_curved_recovery_within_flat_margin(self):
         # translating pattern over the catalog paraboloid: the endpoint error
