@@ -287,7 +287,7 @@ def _sor_steps(problem, config, b, g, u):
 def _cg_steps(problem, config, b, g, u):
     """Conjugate gradients on A u = -b from the gradient ``g`` at ``u``,
     preconditioned by the 2x2 blocks; yields the recurrence residual's
-    max-norm and ends on a direction of zero curvature or a rounding-level residual."""
+    max-norm and ends on a direction of zero curvature."""
     diagonal, off_diagonal = _inverse_blocks(_probe(problem, b, _STENCIL[:1])[0])
 
     def dot(x, y):
@@ -296,11 +296,9 @@ def _cg_steps(problem, config, b, g, u):
         return float(np.sum(xy[0]) + np.sum(xy[1]))
 
     r = -g
-    res = _max_norm(r)
-    floor = np.finfo(float).eps * res  # the recurrence's rounding level
     p = z = _block_solve(diagonal, off_diagonal, r)
     rz = dot(r, z)
-    while res > floor:
+    while True:
         q = _apply(problem, b, p)
         p_dot_q = dot(p, q)
         if p_dot_q <= 0.0:
@@ -310,8 +308,7 @@ def _cg_steps(problem, config, b, g, u):
         step = rz / p_dot_q
         u += step * p
         r -= step * q
-        res = _max_norm(r)
-        yield res
+        yield _max_norm(r)
         z = _block_solve(diagonal, off_diagonal, r)
         rz_next = dot(r, z)
         p = z + (rz_next / rz) * p
