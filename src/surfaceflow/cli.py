@@ -12,13 +12,13 @@ error.  Identical invocations produce bitwise-identical output files.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from .geometry import build_geometry
-from .grid import VectorField
 from .io import (
     FloatImageError,
     FlowFileError,
@@ -34,7 +34,8 @@ from .io import (
     write_manifest,
     write_ppm,
 )
-from .model import energy, energy_gradient, problem_from_frames
+# energy and energy_gradient stay bound here: perfbench/tracing.py wraps them by name
+from .model import _gradient_arrays, energy, energy_gradient, problem_from_frames
 from .solver import METHOD_ALIASES, SolverConfig, _max_norm, solve
 from .synth import SCENE_NAMES, make_scene, render
 
@@ -81,7 +82,9 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """One parser per process; ``main`` looks ``cmd_<command>`` up per call."""
     parser = argparse.ArgumentParser(
         prog="surfaceflow",
         description="Dense optical flow for image sequences on evolving graph surfaces.",
@@ -98,7 +101,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--frames", type=int, default=3, help="number of frames")
     p_synth.add_argument("--noise", type=float, default=0.0, help="additive noise sigma")
     p_synth.add_argument("--seed", type=int, default=0)
-    p_synth.set_defaults(func=cmd_synth)
 
     p_flow = sub.add_parser(
         "flow", help="estimate flow for one frame pair", allow_abbrev=False
@@ -115,7 +117,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_flow.add_argument("--max-iter", type=int, default=50000)
     p_flow.add_argument("--out", required=True, help="output directory")
     p_flow.add_argument("--color", action="store_true", help="also write a PPM image")
-    p_flow.set_defaults(func=cmd_flow)
 
     p_energy = sub.add_parser(
         "energy", help="evaluate the energy of a stored flow", allow_abbrev=False
@@ -125,7 +126,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_energy.add_argument("--frame-b", type=int, default=None)
     p_energy.add_argument("--alpha", type=_positive_float, default=10.0)
     p_energy.add_argument("--flow", required=True, help="flow file to evaluate")
-    p_energy.set_defaults(func=cmd_energy)
 
     p_color = sub.add_parser(
         "color", help="render a flow file as a PPM image", allow_abbrev=False
@@ -133,27 +133,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p_color.add_argument("--flow", required=True)
     p_color.add_argument("--out", required=True, help="output PPM path")
     p_color.add_argument("--max-magnitude", type=_positive_float, default=None)
-    p_color.set_defaults(func=cmd_color)
 
     p_eval = sub.add_parser(
         "eval", help="compare a flow file against a truth flow file", allow_abbrev=False
     )
     p_eval.add_argument("--flow", required=True)
     p_eval.add_argument("--truth", required=True)
-    p_eval.set_defaults(func=cmd_eval)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on bad arguments and 0 for --help
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (ManifestError, FloatImageError, FlowFileError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
@@ -282,16 +279,15 @@ def cmd_energy(args) -> int:
             f"flow file is {u1.shape[1]}x{u1.shape[0]}, "
             f"manifest grid is {spec.width}x{spec.height}"
         )
-    u = VectorField.from_arrays(spec, u1, u2)
-    grad = energy_gradient(problem, u)
+    value, grad = _gradient_arrays(problem, np.stack((u1, u2)), with_energy=True)
     print(
         _report(
             {
                 "frame_a": i,
                 "frame_b": j,
                 "alpha": float(args.alpha),
-                "energy": energy(problem, u),
-                "grad_inf_norm": _max_norm(np.stack((grad.u1.values, grad.u2.values))),
+                "energy": value,
+                "grad_inf_norm": _max_norm(grad),
             }
         ),
         end="",

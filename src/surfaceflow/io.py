@@ -384,23 +384,31 @@ def colorize(u, max_magnitude: float | None = None) -> np.ndarray:
         u1_values, u2_values = u.u1.values, u.u2.values
     else:
         u1_values, u2_values = (np.asarray(c, dtype=float) for c in u)
-    rad = np.hypot(u1_values, u2_values)
     if max_magnitude is None:
-        max_magnitude = default_max_magnitude(rad)
+        max_magnitude = default_max_magnitude(np.hypot(u1_values, u2_values))
     elif not (np.isfinite(max_magnitude) and max_magnitude > 0.0):
         raise ValueError(f"max_magnitude must be positive and finite, got {max_magnitude}")
 
-    ncols = len(COLOR_WHEEL)
-    fk = wheel_position(u1_values, u2_values)
-    k0 = np.floor(fk).astype(int)
-    k1 = (k0 + 1) % ncols
-    f = fk - k0
-    # interpolate in the 0..255 domain so integer wheel entries survive the
-    # final floor exactly when f = 0 and the vector is at full magnitude
-    col = (1.0 - f)[..., None] * COLOR_WHEEL[k0] + f[..., None] * COLOR_WHEEL[k1]
-    radn = np.clip(rad / max_magnitude, 0.0, 1.0)
-    col = 255.0 - radn[..., None] * (255.0 - col)
-    return np.floor(col).astype(np.uint8)
+    rgb = np.empty(u1_values.shape + (3,), np.uint8)
+    # strips of about 8k points keep each temporary near 64 KB, small enough
+    # to reuse freed memory instead of paging in fresh memory on every call
+    step = -(-8192 // max(1, int(np.prod(u1_values.shape[1:]))))
+    for start in range(0, len(rgb), step):
+        rows = slice(start, start + step)
+        u1, u2 = u1_values[rows], u2_values[rows]
+        fk = wheel_position(u1, u2)
+        k0 = np.floor(fk)
+        f = fk - k0
+        k0 = k0.astype(np.intp)
+        k1 = (k0 + 1) % len(COLOR_WHEEL)
+        radn = np.clip(np.hypot(u1, u2) / max_magnitude, 0.0, 1.0)
+        # one channel at a time from 1-D wheel lookups; interpolate in the
+        # 0..255 domain so integer wheel entries survive the final floor
+        # exactly when f = 0 and the vector is at full magnitude
+        for c, wheel in enumerate(COLOR_WHEEL.T):
+            col = (1.0 - f) * wheel.take(k0) + f * wheel.take(k1)
+            rgb[rows, ..., c] = np.floor(255.0 - radn * (255.0 - col))
+    return rgb
 
 
 def write_ppm(path, rgb: np.ndarray) -> None:

@@ -160,21 +160,22 @@ def _covd_arrays(geom: SurfaceGeometry, u: np.ndarray):
 
 def _energy_arrays(problem: FlowProblem, u: np.ndarray) -> float:
     """:func:`energy` on the flow held as one array."""
-    r = _residual_array(problem, u)
-    d11, d12, d21, d22 = _covd_arrays(problem.geom, u)
-    w = _quad_weights(problem.geom)
-    total = np.sum(
-        w * (problem.alpha * r * r + d11 * d11 + d12 * d12 + d21 * d21 + d22 * d22)
-    )
+    r, d = _residual_array(problem, u), _covd_arrays(problem.geom, u)
+    return _energy_sum(problem.alpha, _quad_weights(problem.geom), r, *d)
+
+
+def _energy_sum(alpha, w, r, d11, d12, d21, d22) -> float:
+    total = np.sum(w * (alpha * r * r + d11 * d11 + d12 * d12 + d21 * d21 + d22 * d22))
     return 0.5 * float(total)
 
 
-def _gradient_arrays(problem: FlowProblem, u: np.ndarray):
+def _gradient_arrays(problem: FlowProblem, u: np.ndarray, with_energy: bool = False):
     """Adjoint assembly of the energy gradient as one (2, height, width) array.
 
     With s_ij = w * d_ij, the regularizer contributes the transposed stencils
     applied to s plus the Christoffel multipliers regrouped by the flow
-    component each entry multiplies.
+    component each entry multiplies.  ``with_energy`` also returns the energy,
+    from the same residual and covariant derivative: (energy, gradient).
     """
     geom = problem.geom
     h = geom.spec.h
@@ -200,8 +201,11 @@ def _gradient_arrays(problem: FlowProblem, u: np.ndarray):
         + c2_22 * s22
     )
 
-    awr = problem.alpha * w * _residual_array(problem, u)
+    r = _residual_array(problem, u)
+    awr = problem.alpha * w * r
     g = np.empty((2,) + w.shape)
     np.add(g1, awr * problem.fx1.values, out=g[0])
     np.add(g2, awr * problem.fx2.values, out=g[1])
+    if with_energy:
+        return _energy_sum(problem.alpha, w, r, d11, d12, d21, d22), g
     return g

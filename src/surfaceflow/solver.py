@@ -40,12 +40,15 @@ that sets itself up on its first step, then updates the flow in place and
 yields the gradient max-norm its iteration computes: SOR's from the probed
 stencil, CG's recurrence residual; both differ from the true gradient by
 rounding.  So the report's ``grad_inf_norm`` and ``converged`` read the true
-gradient at the returned flow, for both methods.
+gradient at the returned flow, for both methods.  Its ``stop_reason`` says
+why the steps stopped: ``converged`` (a step's max-norm, or the initial
+guess's gradient, met ``tol``), ``max_iter``, or ``breakdown`` (the method's
+generator ended first, as CG does on a direction of zero curvature).
 
-Counted in gradient applies, a solve that iterates costs 2 at setup (the
-initial gradient and b), then the probe, 20 for SOR or 6 for CG, then none
-per SOR sweep and 1 per CG iteration, and 1 at the end for the gradient at
-the returned flow.
+Counted in gradient applies, a solve that iterates costs 1 at setup (the
+initial gradient, which is b when starting from zero; 2 from a given u0),
+then the probe, 20 for SOR or 6 for CG, then none per SOR sweep and 1 per CG
+iteration, and 1 at the end for the gradient at the returned flow.
 """
 
 from __future__ import annotations
@@ -103,7 +106,8 @@ class SolverReport:
     """Outcome of one solve; construction enforces the monotonicity contract.
 
     ``grad_inf_norm`` is the max-norm of the energy gradient at the returned
-    flow, the quantity the stopping rule bounds.
+    flow, the quantity the stopping rule bounds; ``stop_reason`` is
+    ``converged``, ``max_iter`` or ``breakdown``.
     """
 
     method: str
@@ -112,11 +116,14 @@ class SolverReport:
     energy_initial: float
     energy_final: float
     grad_inf_norm: float
+    stop_reason: str = "converged"
     energy_trace: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.iterations < 0:
             raise ValueError("iterations must be non-negative")
+        if self.stop_reason not in ("converged", "max_iter", "breakdown"):
+            raise ValueError(f"unknown stop_reason {self.stop_reason!r}")
         for name in ("energy_initial", "energy_final", "grad_inf_norm"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
@@ -160,8 +167,9 @@ def solve(
     trace = [e_initial]
     g = _gradient_arrays(problem, u)
     iterations = 0
+    stop_reason = "converged"
     if _max_norm(g) > config.tol:
-        b = _gradient_arrays(problem, np.zeros_like(u))
+        b = g if u0 is None else _gradient_arrays(problem, np.zeros_like(u))
         steps = _sor_steps if config.method == "sor" else _cg_steps
         # unnamed, the generator and its buffers are freed when the loop ends
         for iterations, res in enumerate(
@@ -171,6 +179,8 @@ def solve(
                 trace.append(_energy_arrays(problem, u))
             if res <= config.tol:
                 break
+        else:
+            stop_reason = "max_iter" if iterations == config.max_iter else "breakdown"
         g = _gradient_arrays(problem, u)
     res = _max_norm(g)
     report = SolverReport(
@@ -180,6 +190,7 @@ def solve(
         energy_initial=e_initial,
         energy_final=_energy_arrays(problem, u),
         grad_inf_norm=res,
+        stop_reason=stop_reason,
         energy_trace=tuple(trace) if track_energy else None,
     )
     return VectorField.from_arrays(spec, *u), report

@@ -4,8 +4,9 @@ These functions check the package's production path from the outside: the
 graph's tangent frame and metric, which the energy never reads, the general
 Levi-Civita formula against the closed-form graph Christoffel symbols, the surface form of the optical-flow constraint against the
 pulled-back residual, the natural boundary condition of converged flows,
-brightness constancy along ground-truth trajectories, and the solver's
-probed stencil against whole-grid applies and a square-coloring probe.  Unlike
+brightness constancy along ground-truth trajectories, the solver's probed
+stencil against whole-grid applies and a square-coloring probe, and the
+per-channel colour coding against a whole-pixel blend.  Unlike
 ``oracles``, they build on the package's grid stencils and containers;
 :func:`covariant_derivative` wraps the package's own covariant-derivative
 kernel, so tests of it exercise the code the energy uses.
@@ -29,6 +30,7 @@ from surfaceflow.grid import (
     diff_x1_array,
     diff_x2_array,
 )
+from surfaceflow.io import COLOR_WHEEL, wheel_position
 from surfaceflow.model import FlowProblem, _covd_arrays, _gradient_arrays
 from surfaceflow.solver import SolverConfig, _STENCIL, _apply, _inverse_blocks, _probe
 
@@ -355,6 +357,25 @@ def full_apply_sor(problem: FlowProblem, config: SolverConfig, u1: np.ndarray, u
             converged = True
             break
     return converged, sweeps, u1, u2, res
+
+
+# ---------------------------------------------------------------------------
+# the colour wheel
+# ---------------------------------------------------------------------------
+
+
+def broadcast_colorize(u1: np.ndarray, u2: np.ndarray, max_magnitude: float) -> np.ndarray:
+    """The package's colour coding as a blend of whole (height, width, 3) wheel
+    rows, against which its per-channel lookups are checked byte for byte."""
+    rad = np.hypot(u1, u2)
+    fk = wheel_position(u1, u2)
+    k0 = np.floor(fk).astype(int)
+    k1 = (k0 + 1) % len(COLOR_WHEEL)
+    f = fk - k0
+    col = (1.0 - f)[..., None] * COLOR_WHEEL[k0] + f[..., None] * COLOR_WHEEL[k1]
+    radn = np.clip(rad / max_magnitude, 0.0, 1.0)
+    col = 255.0 - radn[..., None] * (255.0 - col)
+    return np.floor(col).astype(np.uint8)
 
 
 # ---------------------------------------------------------------------------

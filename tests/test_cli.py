@@ -13,7 +13,7 @@ import surfaceflow.cli
 import surfaceflow.io
 from surfaceflow.cli import angular_error_deg, endpoint_error, main
 from surfaceflow.geometry import build_geometry
-from surfaceflow.grid import ScalarField
+from surfaceflow.grid import ScalarField, VectorField
 from surfaceflow.io import (
     ManifestError,
     colorize,
@@ -25,7 +25,7 @@ from surfaceflow.io import (
     write_flow,
     write_ppm,
 )
-from surfaceflow.model import problem_from_frames
+from surfaceflow.model import energy, energy_gradient, problem_from_frames
 from surfaceflow.solver import METHOD_ALIASES, SolverConfig, solve
 from surfaceflow.synth import Translation, make_scene
 
@@ -524,6 +524,30 @@ class TestEnergyCommand:
         assert float(report["energy"]) >= 0.0
         assert float(report["grad_inf_norm"]) >= 0.0
 
+    @pytest.mark.parametrize("scene", ["flat-translate", "paraboloid-rotate", "moving-bump"])
+    def test_report_matches_library(self, tmp_path, capsys, scene):
+        # flat, curved and evolving surfaces: the report's numbers are those of
+        # energy() and energy_gradient() on the problem the CLI builds
+        data = tmp_path / scene
+        code, _ = run_cli(capsys, "synth", scene, "--out", str(data), "--size", "17")
+        assert code == 0
+        draws = np.random.default_rng(3)
+        flow = tmp_path / "u.flo"
+        write_flow(flow, draws.standard_normal((17, 17)), draws.standard_normal((17, 17)))
+        argv = ("energy", "--manifest", str(data / "manifest.txt"), "--frame", "1")
+        code, report = run_cli(capsys, *argv, "--flow", str(flow))
+        assert code == 0
+
+        manifest = read_manifest(data / "manifest.txt")
+        frame_1, frame_2, height_1 = load_sequence(manifest, 1, 2)
+        geom = build_geometry(height_1)
+        problem = problem_from_frames(frame_1, frame_2, geom, dt=manifest.spec.dt)
+        u = VectorField.from_arrays(manifest.spec, *read_flow(flow))
+        grad = energy_gradient(problem, u)
+        assert float(report["energy"]) == energy(problem, u)
+        norm = max(float(np.max(np.abs(grad.u1.values))), float(np.max(np.abs(grad.u2.values))))
+        assert float(report["grad_inf_norm"]) == norm
+
     def test_overflowing_data_term_is_usage_error(self, capsys, translation_dir):
         manifest = scale_intensities(translation_dir, "0.0 1e160")
         with warnings.catch_warnings():
@@ -616,6 +640,51 @@ class TestEvalCommand:
         code = main(["eval", "--flow", str(a), "--truth", str(b)])
         capsys.readouterr()
         assert code == 2
+
+
+class TestParserReuse:
+    """One parser serves every ``main`` call of a process."""
+
+    def test_optional_flags_do_not_leak(self, tmp_path, capsys):
+        data = tmp_path / "bump"
+        assert run_cli(capsys, "synth", "moving-bump", "--out", str(data), "--size", "17")[0] == 0
+        manifest = str(data / "manifest.txt")
+        truth = str(data / "truth_0000_0001.flo")
+
+        energy_argv = ("energy", "--manifest", manifest, "--flow", truth)
+        assert run_cli(capsys, *energy_argv, "--frame-b", "2")[1]["frame_b"] == "2"
+        assert run_cli(capsys, *energy_argv)[1]["frame_b"] == "1"
+
+        color_argv = ("color", "--flow", truth, "--out", str(tmp_path / "c.ppm"))
+        assert run_cli(capsys, *color_argv, "--max-magnitude", "0.5")[1]["max_magnitude"] == "0.5"
+        u1, u2 = read_flow(truth)
+        default = repr(float(np.percentile(np.hypot(u1, u2), 99)))
+        assert run_cli(capsys, *color_argv)[1]["max_magnitude"] == default
+
+        flow_argv = ("flow", "--manifest", manifest, "--method", "cg")
+        assert run_cli(capsys, *flow_argv, "--out", str(tmp_path / "a"), "--color")[0] == 0
+        assert run_cli(capsys, *flow_argv, "--out", str(tmp_path / "b"))[0] == 0
+        assert (tmp_path / "a" / "flow_0000_0001.ppm").is_file()
+        assert not (tmp_path / "b" / "flow_0000_0001.ppm").exists()
+
+    def test_argument_error_then_valid_call(self, tmp_path, capsys):
+        flow = tmp_path / "u.flo"
+        write_flow(flow, np.ones((4, 4)), np.zeros((4, 4)))
+        assert main(["eval", "--flow", str(flow)]) == 2
+        assert "--truth" in capsys.readouterr().err
+        code, report = run_cli(capsys, "eval", "--flow", str(flow), "--truth", str(flow))
+        assert code == 0 and report["epe_mean"] == "0.0"
+
+    def test_dispatch_reads_the_current_command(self, tmp_path, capsys, monkeypatch):
+        flow = tmp_path / "u.flo"
+        write_flow(flow, np.ones((4, 4)), np.zeros((4, 4)))
+        argv = ["eval", "--flow", str(flow), "--truth", str(flow)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        seen = []
+        monkeypatch.setattr(surfaceflow.cli, "cmd_eval", lambda args: seen.append(args) or 7)
+        assert main(argv) == 7
+        assert [(args.command, args.flow) for args in seen] == [("eval", str(flow))]
 
 
 class TestTopLevel:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from surfaceflow.grid import GridSpec, ScalarField, VectorField
 from surfaceflow.io import (
@@ -15,6 +16,7 @@ from surfaceflow.io import (
     Manifest,
     ManifestError,
     colorize,
+    default_max_magnitude,
     load_sequence,
     read_float_image,
     read_flow,
@@ -25,6 +27,8 @@ from surfaceflow.io import (
     write_manifest,
     write_ppm,
 )
+
+from reference import broadcast_colorize
 
 GOLDEN_FLO_HEX = "5049454802000000010000000000803f000000400000404000008040"
 
@@ -427,6 +431,35 @@ class TestColorize:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="max_magnitude"):
                 colorize((np.ones((2, 2)), np.zeros((2, 2))), max_magnitude=scale)
+
+    @given(
+        height=st.integers(1, 6),
+        width=st.integers(1, 6),
+        max_magnitude=st.floats(1e-3, 10.0),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_broadcast_reference(self, height, width, max_magnitude, data):
+        # non-square grids, signed zeros, and magnitudes up to far above the scale
+        shape = (height, height + width)
+        elements = st.floats(-50.0, 50.0) | st.sampled_from([0.0, -0.0])
+        u1, u2 = (data.draw(hnp.arrays(np.float64, shape, elements=elements)) for _ in range(2))
+        # a vector at the wrap angle: fk == 54, so k0 = 54 and k1 = 0
+        u1[0, 0], u2[0, 0] = data.draw(st.floats(1e-3, 50.0)), -0.0
+        assert wheel_position(u1[0, 0], u2[0, 0]) == 54.0
+        zero = np.zeros(shape)
+        for v1, v2 in ((u1, u2), (zero, zero)):
+            expected = broadcast_colorize(v1, v2, max_magnitude)
+            assert np.array_equal(colorize((v1, v2), max_magnitude), expected)
+            scale = default_max_magnitude(np.hypot(v1, v2))
+            assert np.array_equal(colorize((v1, v2)), broadcast_colorize(v1, v2, scale))
+
+    @pytest.mark.parametrize("shape", [(70, 130), (3, 9000), (20000,)])
+    def test_strips_match_broadcast_reference(self, rng, shape):
+        # grids of several row strips, a partial last one, one-row strips of a
+        # wide grid, and a flat array
+        u1, u2 = 2.0 * rng.standard_normal(shape), 2.0 * rng.standard_normal(shape)
+        assert np.array_equal(colorize((u1, u2), 1.5), broadcast_colorize(u1, u2, 1.5))
 
     def test_vector_field_input(self, rng):
         spec = GridSpec(4, 4)

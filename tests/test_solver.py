@@ -403,11 +403,12 @@ class TestSolve:
     @pytest.mark.parametrize("method, per_iter", [("sor", 0), ("cg", 1)])
     @pytest.mark.parametrize("k", [1, 3])
     def test_apply_budget(self, monkeypatch, rng, method, per_iter, k):
-        # setup: 1 initial gradient + 1 for b + the stencil probe, 20 for
-        # SOR's whole stencil or 6 for CG's diagonal blocks; per iteration:
-        # none for an SOR sweep (its residual comes from the stencil), 1 for
-        # CG; finish: 1 for the gradient at the returned flow
-        setup = {"sor": 2 + 20, "cg": 2 + 6}[method]
+        # setup: 1 initial gradient at the zero flow, which is also b, + the
+        # stencil probe, 20 for SOR's whole stencil or 6 for CG's diagonal
+        # blocks; per iteration: none for an SOR sweep (its residual comes
+        # from the stencil), 1 for CG; finish: 1 for the gradient at the
+        # returned flow
+        setup = {"sor": 1 + 20, "cg": 1 + 6}[method]
         import surfaceflow.solver as solver_module
 
         calls = []
@@ -510,6 +511,27 @@ class TestSolve:
         grad = energy_gradient(prob, flow)
         assert np.all(grad.u1.values == 0.0) and np.all(grad.u2.values == 0.0)
         assert report.grad_inf_norm == 0.0 and report.converged
+
+    def test_cg_breakdown_is_the_stop_reason(self):
+        # the case above: CG's steps end on p.q <= 0 at iteration 14, long
+        # before max_iter, although the returned flow is converged
+        spec = GridSpec(3, 3)
+        zero = ScalarField.zeros(spec)
+        prob = FlowProblem(geom=build_geometry(zero), fx1=zero, fx2=zero, ft=zero)
+        draws = np.random.default_rng(1)
+        u0 = VectorField.from_arrays(
+            spec, draws.standard_normal((3, 3)), draws.standard_normal((3, 3))
+        )
+        _, report = solve(prob, SolverConfig(method="cg", tol=1e-300, max_iter=1000), u0=u0)
+        assert report.iterations == 14 and report.stop_reason == "breakdown"
+
+    @pytest.mark.parametrize("method", ["sor", "cg"])
+    def test_max_iter_is_the_stop_reason(self, rng, method):
+        prob = random_problem(GridSpec(12, 12), rng, curved=True)
+        _, report = solve(prob, SolverConfig(method=method, tol=1e-300, max_iter=1))
+        assert report.iterations == 1 and report.stop_reason == "max_iter"
+        _, report = solve(prob, SolverConfig(method=method, tol=1e-6))
+        assert report.converged and report.stop_reason == "converged"
 
     def test_curved_recovery_within_flat_margin(self):
         # translating pattern over the catalog paraboloid: the endpoint error
