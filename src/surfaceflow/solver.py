@@ -1,8 +1,12 @@
 """Minimization of the discrete flow energy.
 
 The energy is quadratic, so its gradient is affine: grad E(u) = A u + b with
-A symmetric positive semi-definite and b = grad E(0).  The one operator is
-the gradient itself, A p = grad E(p) - b, computed matrix-free.
+A symmetric positive semi-definite and b = grad E(0).  A = R + D splits into
+the covariant regularizer R, which reads the geometry alone, and the
+pointwise data block D = alpha * w * f f^T (w = sqrt(det g) * h^2,
+f = (fx1, fx2)); b = alpha * w * ft * f.  The solver sees A only as the
+gradient of the homogeneous problem, the same problem with ft = 0: its
+gradient is R p + D p, computed matrix-free with no subtraction.
 
 Every coupling in A is axis-aligned with offset at most two (the
 one-dimensional stencils composed with their adjoints) or joins the two flow
@@ -13,8 +17,9 @@ fields of a coloring reads the coefficients off exactly (column grouping,
 after Curtis, Powell & Reid, 1974) once each wanted offset of a grid point is
 the only stencil point in its color.  The lattice colorings (row + k col)
 mod m of Goldfarb & Toint (1984) need fewest: m = 3, k = 1 for the diagonal
-(6 applies), m = 10, k = 3 for the whole stencil (20 applies).  The inverted
-2x2 diagonal blocks are the offset-0 slice.
+(6 applies), m = 10, k = 3 for the whole stencil (20 applies).  D sits at
+offset 0 alone, so the other offsets are R's bitwise.  The inverted 2x2
+diagonal blocks are the offset-0 slice.
 
 Block SOR sweeps a 16-coloring of the grid, (row mod 4, col mod 4).  Same-
 color unknowns never interact, so the color's principal submatrix is exactly
@@ -25,11 +30,13 @@ coloring would not be here (the wide second-difference composition couples
 same-parity neighbours).  The stencil, b and the inverted blocks are stored
 color by color, so a color's residual b + sum c * u on its own points is one
 gather of the flow (padded by two zeros) and one sum, and a sweep's stopping
-residual is the same sum over the whole grid.  CG keeps the matrix-free
-apply and takes its preconditioner blocks from the diagonal probe.  The
-inverted blocks are a stacked diagonal (i11, i22) and an off-diagonal i12,
-and ``_block_solve`` alone applies them, as SOR's color update and as CG's
-block Jacobi preconditioner.  CG's vector updates allocate their results.
+residual is the same sum over the whole grid.  SOR takes b = g - sum c * u
+from its stencil and the starting gradient g, which is g itself from a zero
+start.  CG keeps the matrix-free apply and takes its preconditioner blocks
+from the diagonal probe.  The inverted blocks are a stacked diagonal
+(i11, i22) and an off-diagonal i12, and ``_block_solve`` alone applies them,
+as SOR's color update and as CG's block Jacobi preconditioner.  CG's vector
+updates allocate their results.
 
 Every two-component array, the flow as well as gradients, residuals and
 Krylov vectors, is one (2, height, width) array, component first.  ``solve``
@@ -46,19 +53,20 @@ guess's gradient, met ``tol``), ``max_iter``, or ``breakdown`` (the method's
 generator ended first, as CG does on a direction of zero curvature).
 
 Counted in gradient applies, a solve that iterates costs 1 at setup (the
-initial gradient, which is b when starting from zero; 2 from a given u0),
-then the probe, 20 for SOR or 6 for CG, then none per SOR sweep and 1 per CG
-iteration, and 1 at the end for the gradient at the returned flow.
+gradient and energy at the initial flow, from zero or a given u0), then the
+probe, 20 for SOR or 6 for CG, then none per SOR sweep and 1 per CG
+iteration, and 1 at the end for the gradient and energy at the returned flow.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import VectorField
+from .grid import ScalarField, VectorField
 from .model import FlowProblem, _energy_arrays, _gradient_arrays
 
 __all__ = [
@@ -79,7 +87,14 @@ METHOD_ALIASES = {
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Iteration controls; ``tol`` bounds the max-norm of the energy gradient."""
+    """Iteration controls; ``tol`` bounds the max-norm of the energy gradient.
+
+    ``tol`` is absolute, and a computed gradient is exact only to the
+    rounding of its terms, about 1e-16 times their size.  A ``tol`` near or
+    below that floor is not attainable: CG may then stop on its recurrence
+    residual with ``converged`` False, or step on rounding noise until the
+    energy rises and the report raises ``ValueError``.
+    """
 
     method: str = "sor"
     omega: float = 1.9
@@ -163,17 +178,16 @@ def solve(
             raise ValueError("initial guess does not match the problem grid spec")
         u = np.stack((u0.u1.values, u0.u2.values))
 
-    e_initial = _energy_arrays(problem, u)
+    e_initial, g = _gradient_arrays(problem, u, with_energy=True)
+    e_final = e_initial
     trace = [e_initial]
-    g = _gradient_arrays(problem, u)
     iterations = 0
     stop_reason = "converged"
     if _max_norm(g) > config.tol:
-        b = g if u0 is None else _gradient_arrays(problem, np.zeros_like(u))
         steps = _sor_steps if config.method == "sor" else _cg_steps
         # unnamed, the generator and its buffers are freed when the loop ends
         for iterations, res in enumerate(
-            itertools.islice(steps(problem, config, b, g, u), config.max_iter), 1
+            itertools.islice(steps(_homogeneous(problem), config, g, u), config.max_iter), 1
         ):
             if track_energy:
                 trace.append(_energy_arrays(problem, u))
@@ -181,14 +195,14 @@ def solve(
                 break
         else:
             stop_reason = "max_iter" if iterations == config.max_iter else "breakdown"
-        g = _gradient_arrays(problem, u)
+        e_final, g = _gradient_arrays(problem, u, with_energy=True)
     res = _max_norm(g)
     report = SolverReport(
         method=config.method,
         converged=res <= config.tol,
         iterations=iterations,
         energy_initial=e_initial,
-        energy_final=_energy_arrays(problem, u),
+        energy_final=e_final,
         grad_inf_norm=res,
         stop_reason=stop_reason,
         energy_trace=tuple(trace) if track_energy else None,
@@ -200,11 +214,9 @@ def _max_norm(g: np.ndarray) -> float:
     return float(np.max(np.abs(g)))
 
 
-def _apply(problem, b, p):
-    """A p = grad E(p) - b, the homogeneous part of the gradient."""
-    g = _gradient_arrays(problem, p)
-    g -= b
-    return g
+def _homogeneous(problem):
+    """The problem with ft = 0, whose energy gradient is A p: R p + D p."""
+    return dataclasses.replace(problem, ft=ScalarField.zeros(problem.spec))
 
 
 def _lattice(offsets):
@@ -218,22 +230,25 @@ def _lattice(offsets):
     )
 
 
-def _probe(problem, b, offsets):
+def _probe(homogeneous, offsets):
     """A's coefficients at ``offsets`` (a subset of ``_STENCIL``), read off exactly.
 
-    Returns c of shape (len(offsets), 2, 2, height, width) with
+    ``homogeneous`` must be a problem with ft = 0 (``_homogeneous``), whose
+    energy gradient is A itself; the full problem's would add b to every
+    offset.  Returns c of shape (len(offsets), 2, 2, height, width) with
     (A u)_i(q) = sum over d of c[d, i, k](q) u_k(q + d); c[d] is zero where
     q + d leaves the grid.  Each of the 2 m applies of the ``_lattice``
     coloring yields c[d] on the points q whose q + d carries the probed color.
     """
     m, k = _lattice(offsets)
-    coeffs = np.empty((len(offsets), 2, 2) + problem.spec.shape)
+    shape = homogeneous.spec.shape
+    coeffs = np.empty((len(offsets), 2, 2) + shape)
     for a, j in itertools.product(range(m), range(2)):
         # color a holds the rows (a - k s) mod m of each column class s mod m
-        e = np.zeros((2,) + problem.spec.shape)
+        e = np.zeros((2,) + shape)
         for s in range(m):
             e[j, (a - k * s) % m :: m, s::m] = 1.0
-        y = _apply(problem, b, e)
+        y = _gradient_arrays(homogeneous, e)
         for n, (dr, dc) in enumerate(offsets):
             for s in range(m):
                 rows = slice((a - dr - k * (s + dc)) % m, None, m)
@@ -258,28 +273,29 @@ def _block_solve(diagonal, off_diagonal, r):
     return diagonal * r + off_diagonal * r[::-1]
 
 
-def _sor_steps(problem, config, b, g, u):
-    """16-color exact block SOR on the probed stencil, from ``u`` alone (``g``
-    goes unused); each sweep copies the padded flow's interior into ``u``."""
-    coeffs = _probe(problem, b, _STENCIL)
-    height, width = problem.spec.shape
+def _sor_steps(homogeneous, config, g, u):
+    """16-color exact block SOR on the probed stencil from the gradient ``g``
+    at ``u``; each sweep copies the padded flow's interior into ``u``."""
+    coeffs = _probe(homogeneous, _STENCIL)
+    height, width = homogeneous.spec.shape
     flow = np.zeros((2, height + 4, width + 4))
     flow[:, 2:-2, 2:-2] = u
     omega = config.omega
 
     # the points color by color, each color row-major, for the coefficients
-    # (permuted in place), b, the inverted blocks and idx, the flat index into
-    # a padded flow component of each point's sample at each offset
+    # (permuted in place), b = g - A u, the inverted blocks and idx, the flat
+    # index into a padded flow component of each point's sample at each offset
     rows, cols = np.indices((height, width)).reshape(2, -1)
     order = np.argsort(rows % 4 * 4 + cols % 4, kind="stable")
     for part in coeffs.reshape(len(_STENCIL), 4, -1):
         part[...] = part.take(order, axis=1)
     coeffs = coeffs.reshape(len(_STENCIL), 2, 2, -1)
-    b = b.reshape(2, -1).take(order, axis=1)
     diagonal, off_diagonal = _inverse_blocks(coeffs[0])
     offset = np.array([dr * (width + 4) + dc for dr, dc in _STENCIL])
     idx = (rows[order] + 2) * (width + 4) + cols[order] + 2 + offset[:, None]
     samples = flow.reshape(2, -1)
+    b = g.reshape(2, -1).take(order, axis=1)
+    b -= np.einsum("dikn,kdn->in", coeffs, samples.take(idx, axis=1))
     del rows, cols, order
     # per color: its points in the padded flow (a view) and its slice of the rest
     owns = [flow[:, 2 + a : 2 + height : 4, 2 + c : 2 + width : 4] for a, c in _COLORS]
@@ -295,11 +311,11 @@ def _sor_steps(problem, config, b, g, u):
         yield _max_norm(b + np.einsum("dikn,kdn->in", coeffs, samples.take(idx, axis=1)))
 
 
-def _cg_steps(problem, config, b, g, u):
+def _cg_steps(homogeneous, config, g, u):
     """Conjugate gradients on A u = -b from the gradient ``g`` at ``u``,
     preconditioned by the 2x2 blocks; yields the recurrence residual's
     max-norm and ends on a direction of zero curvature."""
-    diagonal, off_diagonal = _inverse_blocks(_probe(problem, b, _STENCIL[:1])[0])
+    diagonal, off_diagonal = _inverse_blocks(_probe(homogeneous, _STENCIL[:1])[0])
 
     def dot(x, y):
         # one sum per component keeps each grid's pairwise rounding
@@ -310,7 +326,7 @@ def _cg_steps(problem, config, b, g, u):
     p = z = _block_solve(diagonal, off_diagonal, r)
     rz = dot(r, z)
     while True:
-        q = _apply(problem, b, p)
+        q = _gradient_arrays(homogeneous, p)
         p_dot_q = dot(p, q)
         if p_dot_q <= 0.0:
             # zero-curvature direction of the semi-definite system; the

@@ -2,11 +2,13 @@
 
 These functions check the package's production path from the outside: the
 graph's tangent frame and metric, which the energy never reads, the general
-Levi-Civita formula against the closed-form graph Christoffel symbols, the surface form of the optical-flow constraint against the
-pulled-back residual, the natural boundary condition of converged flows,
-brightness constancy along ground-truth trajectories, the solver's probed
-stencil against whole-grid applies and a square-coloring probe, and the
-per-channel colour coding against a whole-pixel blend.  Unlike
+Levi-Civita formula against the closed-form graph Christoffel symbols, the
+moving bump's closed-form height rate and slopes, the surface form of the
+optical-flow constraint against the pulled-back residual, the natural
+boundary condition of converged flows, brightness constancy along
+ground-truth trajectories, the solver's probed stencil against whole-grid
+applies and a square-coloring probe, and the per-channel colour coding
+against a whole-pixel blend.  Unlike
 ``oracles``, they build on the package's grid stencils and containers;
 :func:`covariant_derivative` wraps the package's own covariant-derivative
 kernel, so tests of it exercise the code the energy uses.
@@ -32,7 +34,7 @@ from surfaceflow.grid import (
 )
 from surfaceflow.io import COLOR_WHEEL, wheel_position
 from surfaceflow.model import FlowProblem, _covd_arrays, _gradient_arrays
-from surfaceflow.solver import SolverConfig, _STENCIL, _apply, _inverse_blocks, _probe
+from surfaceflow.solver import SolverConfig, _STENCIL, _homogeneous, _inverse_blocks, _probe
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +200,28 @@ def christoffel_from_metric(
     return out
 
 
+def bump_height_t(surface, x1, x2, t):
+    """Closed-form height rate dz/dt of a ``synth.MovingBump``."""
+    r1, r2 = _bump_offsets(surface, x1, x2, t)
+    inv = 1.0 / (surface.sigma * surface.sigma)
+    return surface.height(x1, x2, t) * (r1 * surface.drift[0] + r2 * surface.drift[1]) * inv
+
+
+def bump_height_grad(surface, x1, x2, t):
+    """Closed-form slopes (dz/dx1, dz/dx2) of a ``synth.MovingBump``."""
+    r1, r2 = _bump_offsets(surface, x1, x2, t)
+    inv = 1.0 / (surface.sigma * surface.sigma)
+    bump = surface.height(x1, x2, t)
+    return -bump * r1 * inv, -bump * r2 * inv
+
+
+def _bump_offsets(surface, x1, x2, t):
+    return (
+        x1 - (surface.center[0] + surface.drift[0] * t),
+        x2 - (surface.center[1] + surface.drift[1] * t),
+    )
+
+
 # ---------------------------------------------------------------------------
 # constraint residual and covariant derivative
 # ---------------------------------------------------------------------------
@@ -286,7 +310,7 @@ def check_natural_bc(geom: SurfaceGeometry, u: VectorField) -> ScalarField:
 # ---------------------------------------------------------------------------
 
 
-def square_probe(problem: FlowProblem, b: np.ndarray, offsets) -> np.ndarray:
+def square_probe(homogeneous: FlowProblem, offsets) -> np.ndarray:
     """The solver's probe with a square coloring: the same c[d, i, k] array,
     read from the 2 p^2 applies of the (row mod p, col mod p) coloring whose
     period p is the smallest at which q + d is the only stencil point of q in
@@ -301,14 +325,14 @@ def square_probe(problem: FlowProblem, b: np.ndarray, offsets) -> np.ndarray:
             if s != d
         )
     )
-    shape = problem.spec.shape
+    shape = homogeneous.spec.shape
     coeffs = np.empty((len(offsets), 2, 2) + shape)
     for a in range(period):
         for c in range(period):
             for k in range(2):
                 e = np.zeros((2,) + shape)
                 e[k, a::period, c::period] = 1.0
-                y = _apply(problem, b, e)
+                y = _gradient_arrays(homogeneous, e)
                 for n, (dr, dc) in enumerate(offsets):
                     rows = slice((a - dr) % period, None, period)
                     cols = slice((c - dc) % period, None, period)
@@ -337,8 +361,7 @@ def full_apply_sor(problem: FlowProblem, config: SolverConfig, u1: np.ndarray, u
     color update: the solver's SOR before its colors read their residuals off
     the probed stencil.  Sweeps at least once from (u1, u2), updated in place;
     returns (converged, sweeps, u1, u2, gradient max-norm)."""
-    b = _gradient_arrays(problem, np.zeros((2,) + problem.spec.shape))
-    (i11, i22), i12 = _inverse_blocks(_probe(problem, b, _STENCIL[:1])[0])
+    (i11, i22), i12 = _inverse_blocks(_probe(_homogeneous(problem), _STENCIL[:1])[0])
     g1, g2 = _gradient_arrays(problem, np.stack((u1, u2)))
     omega = config.omega
     converged = False

@@ -3,8 +3,12 @@ import dataclasses
 import filecmp
 import io
 import math
+import os
 import shutil
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -697,3 +701,29 @@ class TestTopLevel:
         code = main(["--help"])
         capsys.readouterr()
         assert code == 0
+
+
+class TestModuleEntryPoint:
+    # ``python -m surfaceflow`` goes through ``__main__`` and ``run()``, which
+    # turn main()'s return value into the process exit code
+    @staticmethod
+    def run_module(*argv, cwd):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-m", "surfaceflow", *argv],
+            cwd=cwd,
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+
+    def test_no_arguments_exits_2(self, tmp_path):
+        assert self.run_module(cwd=tmp_path).returncode == 2
+
+    def test_synth_exits_0(self, tmp_path):
+        argv = ("synth", "flat-translate", "--size", "17", "--out", "data")
+        done = self.run_module(*argv, cwd=tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "data" / "manifest.txt").is_file()

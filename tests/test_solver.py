@@ -163,9 +163,9 @@ def drawn_problem(height, width, surface, rng):
 
 
 def probed(prob):
-    """b = grad E(0) and the whole probed stencil of ``prob``."""
-    b = _gradient_arrays(prob, np.zeros((2,) + prob.spec.shape))
-    return b, solver._probe(prob, b, solver._STENCIL)
+    """The homogeneous problem of ``prob`` and its whole probed stencil."""
+    homogeneous = solver._homogeneous(prob)
+    return homogeneous, solver._probe(homogeneous, solver._STENCIL)
 
 
 class TestStencil:
@@ -180,7 +180,7 @@ class TestStencil:
         rng = np.random.default_rng(seed)
         prob = drawn_problem(height, width, surface, rng)
         spec = prob.spec
-        b, coeffs = probed(prob)
+        homogeneous, coeffs = probed(prob)
         # coefficients reaching off the grid are exactly zero, so the solver
         # may pad the flow with anything finite
         for c, (dr, dc) in zip(coeffs, solver._STENCIL):
@@ -189,11 +189,11 @@ class TestStencil:
             off = (rows < 0) | (rows >= height) | (cols < 0) | (cols >= width)
             assert np.all(c[:, :, off] == 0.0)
         # the diagonal probe's coarser coloring reads the same blocks
-        assert np.array_equal(solver._probe(prob, b, solver._STENCIL[:1])[0], coeffs[0])
+        assert np.array_equal(solver._probe(homogeneous, solver._STENCIL[:1])[0], coeffs[0])
         for _ in range(3):
             w1 = rng.standard_normal(spec.shape)
             w2 = rng.standard_normal(spec.shape)
-            ref1, ref2 = solver._apply(prob, b, np.stack((w1, w2)))
+            ref1, ref2 = _gradient_arrays(homogeneous, np.stack((w1, w2)))
             mine1, mine2 = stencil_apply(coeffs, w1, w2)
             bound = stencil_apply(np.abs(coeffs), np.abs(w1), np.abs(w2))
             scale = max(1.0, float(np.max(bound)))
@@ -243,6 +243,30 @@ class TestStencil:
             gap = max(np.max(np.abs(flow.u1.values - u1)), np.max(np.abs(flow.u2.values - u2)))
             assert gap <= 1e-12 * max(1.0, float(np.max(np.abs(u1))), float(np.max(np.abs(u2))))
 
+    @given(
+        height=st.integers(3, 14),
+        width=st.integers(3, 14),
+        surface=st.sampled_from(["flat", "curved", "evolving"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_probe_splits_into_regularizer_and_data_block(self, height, width, surface, seed):
+        # A = R + D: off the point itself the probe reads the regularizer R
+        # alone, bitwise the probe of the same geometry with no data; at
+        # offset 0 it adds the block alpha * w * f f^T with one rounding
+        rng = np.random.default_rng(seed)
+        prob = drawn_problem(height, width, surface, rng)
+        mine = solver._probe(solver._homogeneous(prob), solver._STENCIL)
+        zero = ScalarField.zeros(prob.spec)
+        no_data = FlowProblem(geom=prob.geom, fx1=zero, fx2=zero, ft=zero, alpha=prob.alpha)
+        regularizer = solver._probe(no_data, solver._STENCIL)
+        assert np.array_equal(mine[1:], regularizer[1:])
+        f = np.stack((prob.fx1.values, prob.fx2.values))
+        w = prob.geom.sqrt_detg.values * prob.spec.h**2
+        data = prob.alpha * w * f[:, None] * f[None, :]
+        gap = np.abs(mine[0] - (regularizer[0] + data))
+        assert np.all(gap <= 1e-15 * (np.abs(regularizer[0]) + np.abs(data)))
+
     def test_lattice_colorings(self):
         # 10 colors separate the whole stencil, 3 its center
         assert solver._lattice(solver._STENCIL) == (10, 3)
@@ -259,10 +283,10 @@ class TestStencil:
         rng = np.random.default_rng(seed)
         prob = drawn_problem(height, width, surface, rng)
         spec = prob.spec
-        b = _gradient_arrays(prob, np.zeros((2,) + spec.shape))
+        homogeneous = solver._homogeneous(prob)
         for offsets in (solver._STENCIL, solver._STENCIL[:1]):
-            mine = solver._probe(prob, b, offsets)
-            ref = square_probe(prob, b, offsets)
+            mine = solver._probe(homogeneous, offsets)
+            ref = square_probe(homogeneous, offsets)
             assert mine.shape == ref.shape == (len(offsets), 2, 2) + spec.shape
             assert np.array_equal(mine.view(np.int64), ref.view(np.int64))
 
@@ -274,16 +298,17 @@ class TestStencil:
     @settings(max_examples=25, deadline=None)
     def test_sor_residual_matches_gradient(self, height, width, seed):
         # each sweep's stopping residual, read from the probed stencil, is
-        # the max-norm of the matrix-free gradient at the swept flow
+        # the max-norm of the matrix-free gradient at the swept flow, from a
+        # zero start and from a random one
         rng = np.random.default_rng(seed)
         prob = random_problem(GridSpec(width, height), rng, curved=True)
-        u = np.zeros((2,) + prob.spec.shape)
-        b = _gradient_arrays(prob, u)
-        sweeps = solver._sor_steps(prob, SolverConfig(), b, b.copy(), u)
-        for _ in range(6):
-            res = next(sweeps)
-            ref = solver._max_norm(_gradient_arrays(prob, u))
-            assert abs(res - ref) <= 1e-12 * ref
+        for u in (np.zeros((2,) + prob.spec.shape), rng.standard_normal((2,) + prob.spec.shape)):
+            g = _gradient_arrays(prob, u)
+            sweeps = solver._sor_steps(solver._homogeneous(prob), SolverConfig(), g, u)
+            for _ in range(6):
+                res = next(sweeps)
+                ref = solver._max_norm(_gradient_arrays(prob, u))
+                assert abs(res - ref) <= 1e-12 * ref
 
 
 def assert_block_solve_inverts(block, x):
@@ -326,8 +351,7 @@ class TestBlocks:
             ft=random_field(spec, rng),
             alpha=rng.uniform(0.1, 100.0),
         )
-        b = _gradient_arrays(prob, np.zeros((2,) + spec.shape))
-        block = solver._probe(prob, b, solver._STENCIL[:1])[0]
+        block = solver._probe(solver._homogeneous(prob), solver._STENCIL[:1])[0]
         assert_block_solve_inverts(block, rng.standard_normal((2,) + spec.shape))
 
     # one bad point among SPD blocks: a negative a11 with a positive
@@ -403,26 +427,28 @@ class TestSolve:
     @pytest.mark.parametrize("method, per_iter", [("sor", 0), ("cg", 1)])
     @pytest.mark.parametrize("k", [1, 3])
     def test_apply_budget(self, monkeypatch, rng, method, per_iter, k):
-        # setup: 1 initial gradient at the zero flow, which is also b, + the
-        # stencil probe, 20 for SOR's whole stencil or 6 for CG's diagonal
-        # blocks; per iteration: none for an SOR sweep (its residual comes
-        # from the stencil), 1 for CG; finish: 1 for the gradient at the
-        # returned flow
+        # setup: 1 gradient and energy at the initial flow, from zero or u0,
+        # + the stencil probe, 20 for SOR's whole stencil or 6 for CG's
+        # diagonal blocks; per iteration: none for an SOR sweep (its residual
+        # comes from the stencil), 1 for CG; finish: 1 for the gradient at
+        # the returned flow
         setup = {"sor": 1 + 20, "cg": 1 + 6}[method]
         import surfaceflow.solver as solver_module
 
         calls = []
         original = solver_module._gradient_arrays
 
-        def counting(*args):
+        def counting(*args, **kwargs):
             calls.append(1)
-            return original(*args)
+            return original(*args, **kwargs)
 
         monkeypatch.setattr(solver_module, "_gradient_arrays", counting)
         prob = random_problem(GridSpec(12, 12), rng, curved=True)
-        _, report = solve(prob, SolverConfig(method=method, tol=1e-300, max_iter=k))
-        assert report.iterations == k and not report.converged
-        assert len(calls) == setup + per_iter * k + 1
+        for u0 in (None, random_vector_field(prob.spec, rng)):
+            calls.clear()
+            _, report = solve(prob, SolverConfig(method=method, tol=1e-300, max_iter=k), u0=u0)
+            assert report.iterations == k and not report.converged
+            assert len(calls) == setup + per_iter * k + 1
 
     def test_sor_energy_monotone(self, rng):
         prob = random_problem(GridSpec(24, 24), rng, curved=True)
@@ -473,12 +499,13 @@ class TestSolve:
     def test_energy_trace_spans_the_iterations(self, rng, method, max_iter):
         prob = random_problem(GridSpec(12, 12), rng, curved=True)
         config = SolverConfig(method=method, tol=1e-8, max_iter=max_iter)
-        _, report = solve(prob, config, track_energy=True)
+        flow, report = solve(prob, config, track_energy=True)
         assert report.converged == (max_iter == 50000)
         trace = report.energy_trace
         assert len(trace) == report.iterations + 1
         assert trace[0] == report.energy_initial
         assert trace[-1] == report.energy_final
+        assert report.energy_final == energy(prob, flow)
 
     def test_report_reads_true_gradient(self):
         # CG stops on its recurrence residual, 7.8e-16 here, while the true
@@ -524,6 +551,38 @@ class TestSolve:
         )
         _, report = solve(prob, SolverConfig(method="cg", tol=1e-300, max_iter=1000), u0=u0)
         assert report.iterations == 14 and report.stop_reason == "breakdown"
+
+    @staticmethod
+    def zero_data_problem_and_start(seed):
+        # the 3x3 regularizer-only case above, from a random start
+        spec = GridSpec(3, 3)
+        zero = ScalarField.zeros(spec)
+        prob = FlowProblem(geom=build_geometry(zero), fx1=zero, fx2=zero, ft=zero)
+        draws = np.random.default_rng(seed)
+        u0 = VectorField.from_arrays(
+            spec, draws.standard_normal((3, 3)), draws.standard_normal((3, 3))
+        )
+        return prob, u0
+
+    def test_tol_below_rounding_raises_on_energy_increase(self):
+        # the gradient near the minimizer is rounding, about 1e-15 here; with
+        # tol below it CG steps on noise until the energy rises, which the
+        # report refuses
+        prob, u0 = self.zero_data_problem_and_start(0)
+        with pytest.raises(ValueError, match="energy increased"):
+            solve(prob, SolverConfig(method="cg", tol=1e-16, max_iter=1000), u0=u0)
+
+    def test_tol_at_rounding_stops_on_recurrence_residual(self):
+        # CG's recurrence residual meets tol = 1e-15, but the true gradient
+        # at the returned flow is 1.16e-15, so the solve stops as converged
+        # and reports that the flow is not
+        prob, u0 = self.zero_data_problem_and_start(1)
+        flow, report = solve(prob, SolverConfig(method="cg", tol=1e-15, max_iter=1000), u0=u0)
+        assert report.stop_reason == "converged" and not report.converged
+        assert report.grad_inf_norm > 1e-15
+        assert report.grad_inf_norm == solver._max_norm(
+            _gradient_arrays(prob, np.stack((flow.u1.values, flow.u2.values)))
+        )
 
     @pytest.mark.parametrize("method", ["sor", "cg"])
     def test_max_iter_is_the_stop_reason(self, rng, method):
