@@ -9,8 +9,11 @@ Interior derivatives use the symmetric three-point stencil
 first-order one-sided differences so every operation stays local.  The
 adjoint (transpose) of each difference operator is provided as well, which
 is what makes exact gradients of quadratic grid functionals possible.  Each
-stencil is written once, along axis 0; the x1 versions apply it to the
-transposed array.
+stencil is written once, along axis -2, and differentiates any stack of
+fields held on leading axes in one call; the x1 versions apply it with the
+last two axes swapped.  Each adjoint is gathered row by row into its output,
+with the same sums, in the same order, as scattering the stencil's terms into
+a zero-filled array.
 """
 
 from __future__ import annotations
@@ -140,25 +143,42 @@ class VectorField:
 # ---------------------------------------------------------------------------
 
 
-def diff_x2_array(values: np.ndarray, h: float) -> np.ndarray:
-    """d/dx2 (along axis 0): central interior, one-sided first-order boundary."""
-    out = np.empty_like(values)
-    out[1:-1, :] = (values[2:, :] - values[:-2, :]) / (2.0 * h)
-    out[0, :] = (values[1, :] - values[0, :]) / h
-    out[-1, :] = (values[-1, :] - values[-2, :]) / h
+def diff_x2_array(values: np.ndarray, h: float, out: np.ndarray | None = None) -> np.ndarray:
+    """d/dx2 (along axis -2, leading axes being separate fields): central
+    interior, one-sided first-order boundary; written into ``out`` if given."""
+    if out is None:
+        out = np.empty_like(values)
+    interior = out[..., 1:-1, :]
+    np.subtract(values[..., 2:, :], values[..., :-2, :], out=interior)
+    interior /= 2.0 * h
+    out[..., 0, :] = (values[..., 1, :] - values[..., 0, :]) / h
+    out[..., -1, :] = (values[..., -1, :] - values[..., -2, :]) / h
     return out
 
 
-def diff_x2_adjoint_array(s: np.ndarray, h: float) -> np.ndarray:
-    """Transpose of :func:`diff_x2_array` as a linear map, same grid."""
-    out = np.zeros_like(s)
-    c = 1.0 / (2.0 * h)
-    out[2:, :] += s[1:-1, :] * c
-    out[:-2, :] -= s[1:-1, :] * c
-    out[1, :] += s[0, :] / h
-    out[0, :] -= s[0, :] / h
-    out[-1, :] += s[-1, :] / h
-    out[-2, :] -= s[-1, :] / h
+def diff_x2_adjoint_array(s: np.ndarray, h: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Transpose of :func:`diff_x2_array` as a linear map, same grid and layout.
+
+    Row i gathers what scattering the stencil into zeros adds to it: 0 + t[i-1]
+    and 0 - t[i+1] for t = s * (1 / (2h)), then the one-sided s[0] / h and
+    s[-1] / h.  (0 - t[i+1]) + t[i-1] is (0 + t[i-1]) - t[i+1] bit for bit,
+    signed zeros included.
+    """
+    if out is None:
+        out = np.empty_like(s)
+    t = s[..., 1:-1, :] * (1.0 / (2.0 * h))
+    first, last = s[..., 0, :] / h, s[..., -1, :] / h
+    # np.subtract(0.0, t) is the sum's 0 - t; np.negative would give -0 for +0,
+    # and numpy 2.4's negative writes wrong values into some strided outputs
+    np.subtract(0.0, t, out=out[..., :-2, :])
+    out[..., 2:-2, :] += t[..., :-2, :]
+    out[..., 0, :] -= first
+    if out.shape[-2] > 3:
+        out[..., 1, :] += first
+        out[..., -2, :] = (0.0 + t[..., -2, :]) - last
+    else:
+        out[..., 1, :] = (0.0 + first) - last
+    out[..., -1, :] = (0.0 + t[..., -1, :]) + last
     return out
 
 
@@ -173,14 +193,16 @@ def _diff2_x2_array(values: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def diff_x1_array(values: np.ndarray, h: float) -> np.ndarray:
-    """d/dx1 (along axis 1): :func:`diff_x2_array` on the transpose."""
-    return diff_x2_array(values.T, h).T
+def diff_x1_array(values: np.ndarray, h: float, out: np.ndarray | None = None) -> np.ndarray:
+    """d/dx1 (along axis -1): :func:`diff_x2_array` on the swapped last axes."""
+    swapped = None if out is None else out.swapaxes(-1, -2)
+    return diff_x2_array(values.swapaxes(-1, -2), h, swapped).swapaxes(-1, -2)
 
 
-def diff_x1_adjoint_array(s: np.ndarray, h: float) -> np.ndarray:
+def diff_x1_adjoint_array(s: np.ndarray, h: float, out: np.ndarray | None = None) -> np.ndarray:
     """Transpose of :func:`diff_x1_array` as a linear map, same grid."""
-    return diff_x2_adjoint_array(s.T, h).T
+    swapped = None if out is None else out.swapaxes(-1, -2)
+    return diff_x2_adjoint_array(s.swapaxes(-1, -2), h, swapped).swapaxes(-1, -2)
 
 
 # ---------------------------------------------------------------------------

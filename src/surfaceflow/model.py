@@ -15,10 +15,16 @@ rounding and descent methods inherit exact monotonicity.
 
 Summations use np.sum, whose pairwise reduction is deterministic for a fixed
 shape, so energies and gradients are bitwise reproducible.
+
+The covariant derivative is one (2, 2, height, width) array d[i, j] = D_j u^i,
+and each stencil or adjoint runs once per axis on both components.  Sums and
+products run in place through scratch arrays, each element's operations in
+the order of the term-by-term formulas, so the layout changes no bit.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,79 +139,83 @@ def energy_gradient(problem: FlowProblem, u: VectorField) -> VectorField:
     return VectorField.from_arrays(problem.spec, *g)
 
 
-def _quad_weights(geom: SurfaceGeometry) -> np.ndarray:
-    return geom.sqrt_detg.values * (geom.spec.h * geom.spec.h)
+def _quad_weights(geom: SurfaceGeometry, out=None) -> np.ndarray:
+    return np.multiply(geom.sqrt_detg.values, geom.spec.h * geom.spec.h, out=out)
 
 
-def _residual_array(problem: FlowProblem, u: np.ndarray) -> np.ndarray:
-    return problem.fx1.values * u[0] + problem.fx2.values * u[1] + problem.ft.values
+def _residual_array(problem: FlowProblem, u: np.ndarray, work=None, out=None) -> np.ndarray:
+    r = np.multiply(problem.fx1.values, u[0], out=out)
+    r += np.multiply(problem.fx2.values, u[1], out=work)
+    r += problem.ft.values
+    return r
 
 
-def _christoffel_arrays(geom: SurfaceGeometry):
-    """G^1_11, G^1_12, G^1_22, G^2_11, G^2_12, G^2_22 as plain arrays."""
-    names = ("gamma1_11", "gamma1_12", "gamma1_22", "gamma2_11", "gamma2_12", "gamma2_22")
-    return tuple(getattr(geom, name).values for name in names)
+def _christoffel_table(geom: SurfaceGeometry):
+    """G^i_jk as ``gamma[i][j][k]``, from 0: component i, derivative j, flow component k."""
+    c = [getattr(geom, f"gamma{i}_{jk}").values for i in (1, 2) for jk in ("11", "12", "22")]
+    return ((c[0], c[1]), (c[1], c[2])), ((c[3], c[4]), (c[4], c[5]))
 
 
-def _covd_arrays(geom: SurfaceGeometry, u: np.ndarray):
+def _covd_arrays(geom: SurfaceGeometry, u: np.ndarray, work=None, out=None) -> np.ndarray:
+    """d[i, j] = D_j u^i = d_j u^i + G^i_j1 u^1 + G^i_j2 u^2 as one (2, 2, height, width) array."""
     h = geom.spec.h
-    u1, u2 = u
-    c1_11, c1_12, c1_22, c2_11, c2_12, c2_22 = _christoffel_arrays(geom)
-    d11 = diff_x1_array(u1, h) + c1_11 * u1 + c1_12 * u2
-    d12 = diff_x2_array(u1, h) + c1_12 * u1 + c1_22 * u2
-    d21 = diff_x1_array(u2, h) + c2_11 * u1 + c2_12 * u2
-    d22 = diff_x2_array(u2, h) + c2_12 * u1 + c2_22 * u2
-    return d11, d12, d21, d22
+    d = np.empty((2,) + u.shape) if out is None else out
+    diff_x1_array(u, h, out=d[:, 0])
+    diff_x2_array(u, h, out=d[:, 1])
+    gamma = _christoffel_table(geom)
+    for i, j, k in itertools.product(range(2), repeat=3):
+        d[i, j] += np.multiply(gamma[i][j][k], u[k], out=work)
+    return d
 
 
 def _energy_arrays(problem: FlowProblem, u: np.ndarray) -> float:
     """:func:`energy` on the flow held as one array."""
     r, d = _residual_array(problem, u), _covd_arrays(problem.geom, u)
-    return _energy_sum(problem.alpha, _quad_weights(problem.geom), r, *d)
+    return _energy_sum(problem.alpha, _quad_weights(problem.geom), r, d)
 
 
-def _energy_sum(alpha, w, r, d11, d12, d21, d22) -> float:
-    total = np.sum(w * (alpha * r * r + d11 * d11 + d12 * d12 + d21 * d21 + d22 * d22))
-    return 0.5 * float(total)
+def _energy_sum(alpha, w, r, d, work=None) -> float:
+    """1/2 sum of w (alpha r^2 + d11^2 + d12^2 + d21^2 + d22^2), summed left to right."""
+    total = np.multiply(r, alpha)
+    total *= r
+    for entry in d.reshape((4,) + r.shape):
+        total += np.multiply(entry, entry, out=work)
+    total *= w
+    return 0.5 * float(np.sum(total))
 
 
 def _gradient_arrays(problem: FlowProblem, u: np.ndarray, with_energy: bool = False):
     """Adjoint assembly of the energy gradient as one (2, height, width) array.
 
-    With s_ij = w * d_ij, the regularizer contributes the transposed stencils
-    applied to s plus the Christoffel multipliers regrouped by the flow
-    component each entry multiplies.  ``with_energy`` also returns the energy,
-    from the same residual and covariant derivative: (energy, gradient).
+    With s_ij = w * d_ij, component m of the gradient is the transposed
+    stencils applied to s_m1 and s_m2, plus the Christoffel multipliers
+    G^k_jm s_kj regrouped by the flow component m each entry multiplies, plus
+    the data term alpha w r f_m.  Every sum runs in that order, left to
+    right.  ``with_energy`` also returns the energy, from the same residual
+    and covariant derivative: (energy, gradient).
     """
     geom = problem.geom
     h = geom.spec.h
-    w = _quad_weights(geom)
-    d11, d12, d21, d22 = _covd_arrays(geom, u)
-    s11, s12, s21, s22 = w * d11, w * d12, w * d21, w * d22
-    c1_11, c1_12, c1_22, c2_11, c2_12, c2_22 = _christoffel_arrays(geom)
-
-    g1 = (
-        diff_x1_adjoint_array(s11, h)
-        + diff_x2_adjoint_array(s12, h)
-        + c1_11 * s11
-        + c1_12 * s12
-        + c2_11 * s21
-        + c2_12 * s22
-    )
-    g2 = (
-        diff_x1_adjoint_array(s21, h)
-        + diff_x2_adjoint_array(s22, h)
-        + c1_12 * s11
-        + c1_22 * s12
-        + c2_12 * s21
-        + c2_22 * s22
-    )
-
-    r = _residual_array(problem, u)
-    awr = problem.alpha * w * r
-    g = np.empty((2,) + w.shape)
-    np.add(g1, awr * problem.fx1.values, out=g[0])
-    np.add(g2, awr * problem.fx2.values, out=g[1])
+    shape = u.shape[1:]
+    # One block holds all scratch: d, the second adjoint, w, r and the product
+    # buffer.  glibc gives its heap top back to the system once more than twice
+    # the largest block freed so far lies free there; as separate arrays they
+    # crossed that bound on every call, so each call faulted its pages in again.
+    block = np.empty((9,) + shape)
+    d, adjoint, (w, r, work) = block[:4].reshape((2, 2) + shape), block[4:6], block[6:]
+    _quad_weights(geom, out=w)
+    _covd_arrays(geom, u, work, out=d)
+    _residual_array(problem, u, work, out=r)
     if with_energy:
-        return _energy_sum(problem.alpha, w, r, d11, d12, d21, d22), g
-    return g
+        value = _energy_sum(problem.alpha, w, r, d, work)
+    s = np.multiply(d, w, out=d)  # s_ij = w d_ij, in d's place
+    g = diff_x1_adjoint_array(s[:, 0], h, out=np.empty(u.shape))
+    g += diff_x2_adjoint_array(s[:, 1], h, out=adjoint)
+    gamma = _christoffel_table(geom)
+    for m, k, j in itertools.product(range(2), repeat=3):
+        g[m] += np.multiply(gamma[k][j][m], s[k, j], out=work)
+    # alpha w r, then the data term alpha w r f_m
+    r *= np.multiply(w, problem.alpha, out=work)
+    g[0] += np.multiply(r, problem.fx1.values, out=work)
+    g[1] += np.multiply(r, problem.fx2.values, out=work)
+    return (value, g) if with_energy else g

@@ -35,8 +35,8 @@ from its stencil and the starting gradient g, which is g itself from a zero
 start.  CG keeps the matrix-free apply and takes its preconditioner blocks
 from the diagonal probe.  The inverted blocks are a stacked diagonal
 (i11, i22) and an off-diagonal i12, and ``_block_solve`` alone applies them,
-as SOR's color update and as CG's block Jacobi preconditioner.  CG's vector
-updates allocate their results.
+as SOR's color update and as CG's block Jacobi preconditioner.  CG updates
+its vectors in place, through one scratch array.
 
 Every two-component array, the flow as well as gradients, residuals and
 Krylov vectors, is one (2, height, width) array, component first.  ``solve``
@@ -60,7 +60,7 @@ iteration, and 1 at the end for the gradient and energy at the returned flow.
 
 from __future__ import annotations
 
-import dataclasses
+import copy
 import itertools
 from dataclasses import dataclass
 
@@ -211,12 +211,16 @@ def solve(
 
 
 def _max_norm(g: np.ndarray) -> float:
-    return float(np.max(np.abs(g)))
+    """max |g| from g's extremes, with no |g| array; abs makes an all-zero g's -0 +0."""
+    return float(abs(max(g.max(), -g.min())))
 
 
 def _homogeneous(problem):
-    """The problem with ft = 0, whose energy gradient is A p: R p + D p."""
-    return dataclasses.replace(problem, ft=ScalarField.zeros(problem.spec))
+    """The problem with ft = 0, whose energy gradient is A p: R p + D p; a
+    shallow copy, as the checks the problem passed hold with ft = 0 too."""
+    homogeneous = copy.copy(problem)
+    object.__setattr__(homogeneous, "ft", ScalarField.zeros(problem.spec))
+    return homogeneous
 
 
 def _lattice(offsets):
@@ -268,9 +272,11 @@ def _inverse_blocks(block):
     return np.stack((a22, a11)) / det, -a12 / det
 
 
-def _block_solve(diagonal, off_diagonal, r):
-    """The inverted blocks applied to ``r``: i11 r1 + i12 r2, i12 r1 + i22 r2."""
-    return diagonal * r + off_diagonal * r[::-1]
+def _block_solve(diagonal, off_diagonal, r, out=None, work=None):
+    """The inverted blocks applied to ``r``: i11 r1 + i12 r2, i12 r1 + i22 r2,
+    written into ``out`` through ``work`` when given."""
+    cross = np.multiply(off_diagonal, r[::-1], out=work)
+    return np.add(np.multiply(diagonal, r, out=out), cross, out=out)
 
 
 def _sor_steps(homogeneous, config, g, u):
@@ -314,16 +320,19 @@ def _sor_steps(homogeneous, config, g, u):
 def _cg_steps(homogeneous, config, g, u):
     """Conjugate gradients on A u = -b from the gradient ``g`` at ``u``,
     preconditioned by the 2x2 blocks; yields the recurrence residual's
-    max-norm and ends on a direction of zero curvature."""
+    max-norm and ends on a direction of zero curvature.  r, z and p are
+    updated in place, every product through one scratch array."""
     diagonal, off_diagonal = _inverse_blocks(_probe(homogeneous, _STENCIL[:1])[0])
+    work = np.empty_like(g)
 
     def dot(x, y):
         # one sum per component keeps each grid's pairwise rounding
-        xy = x * y
+        xy = np.multiply(x, y, out=work)
         return float(np.sum(xy[0]) + np.sum(xy[1]))
 
     r = -g
-    p = z = _block_solve(diagonal, off_diagonal, r)
+    z = _block_solve(diagonal, off_diagonal, r)
+    p = z.copy()
     rz = dot(r, z)
     while True:
         q = _gradient_arrays(homogeneous, p)
@@ -333,10 +342,11 @@ def _cg_steps(homogeneous, config, g, u):
             # residual along it can no longer decrease
             return
         step = rz / p_dot_q
-        u += step * p
-        r -= step * q
+        u += np.multiply(step, p, out=work)
+        r -= np.multiply(step, q, out=work)
         yield _max_norm(r)
-        z = _block_solve(diagonal, off_diagonal, r)
+        _block_solve(diagonal, off_diagonal, r, out=z, work=work)
         rz_next = dot(r, z)
-        p = z + (rz_next / rz) * p
+        p *= rz_next / rz  # p = z + beta p
+        p += z
         rz = rz_next

@@ -7,8 +7,9 @@ moving bump's closed-form height rate and slopes, the surface form of the
 optical-flow constraint against the pulled-back residual, the natural
 boundary condition of converged flows, brightness constancy along
 ground-truth trajectories, the solver's probed stencil against whole-grid
-applies and a square-coloring probe, and the per-channel colour coding
-against a whole-pixel blend.  Unlike
+applies and a square-coloring probe, the stacked energy gradient against its
+term-by-term assembly, CG's in-place loop against its allocating form, and
+the per-channel colour coding against a whole-pixel blend.  Unlike
 ``oracles``, they build on the package's grid stencils and containers;
 :func:`covariant_derivative` wraps the package's own covariant-derivative
 kernel, so tests of it exercise the code the energy uses.
@@ -278,7 +279,7 @@ def covariant_derivative(geom: SurfaceGeometry, u: VectorField) -> CovariantDeri
     """All four entries D_j u^i on the grid."""
     if u.spec != geom.spec:
         raise ValueError("vector field does not match the geometry grid spec")
-    d11, d12, d21, d22 = _covd_arrays(geom, np.stack((u.u1.values, u.u2.values)))
+    (d11, d12), (d21, d22) = _covd_arrays(geom, np.stack((u.u1.values, u.u2.values)))
     wrap = lambda a: ScalarField(geom.spec, a)
     return CovariantDerivative(wrap(d11), wrap(d12), wrap(d21), wrap(d22))
 
@@ -303,6 +304,133 @@ def check_natural_bc(geom: SurfaceGeometry, u: VectorField) -> ScalarField:
     out[0, :] = np.maximum(out[0, :], n2[0, :])
     out[-1, :] = np.maximum(out[-1, :], n2[-1, :])
     return ScalarField(geom.spec, out)
+
+
+# ---------------------------------------------------------------------------
+# the energy gradient term by term
+# ---------------------------------------------------------------------------
+
+
+def termwise_x2(values: np.ndarray, h: float) -> np.ndarray:
+    """The x2 stencil on one (height, width) array, as the package wrote it
+    before its stencils took leading axes and output arrays."""
+    out = np.empty_like(values)
+    out[1:-1, :] = (values[2:, :] - values[:-2, :]) / (2.0 * h)
+    out[0, :] = (values[1, :] - values[0, :]) / h
+    out[-1, :] = (values[-1, :] - values[-2, :]) / h
+    return out
+
+
+def termwise_x1(values: np.ndarray, h: float) -> np.ndarray:
+    """:func:`termwise_x2` along x1, on the transpose."""
+    return termwise_x2(values.T, h).T
+
+
+def scatter_x2_adjoint(s: np.ndarray, h: float) -> np.ndarray:
+    """Transpose of the x2 stencil on one (height, width) array, scattered
+    term by term into zeros: the package's adjoint before it gathered rows."""
+    out = np.zeros_like(s)
+    c = 1.0 / (2.0 * h)
+    out[2:, :] += s[1:-1, :] * c
+    out[:-2, :] -= s[1:-1, :] * c
+    out[1, :] += s[0, :] / h
+    out[0, :] -= s[0, :] / h
+    out[-1, :] += s[-1, :] / h
+    out[-2, :] -= s[-1, :] / h
+    return out
+
+
+def scatter_x1_adjoint(s: np.ndarray, h: float) -> np.ndarray:
+    """:func:`scatter_x2_adjoint` along x1, on the transpose."""
+    return scatter_x2_adjoint(s.T, h).T
+
+
+def termwise_covd(geom: SurfaceGeometry, u: np.ndarray):
+    """d11, d12, d21, d22 of the (2, height, width) flow, one array per entry."""
+    h = geom.spec.h
+    u1, u2 = u
+    c1_11, c1_12, c1_22, c2_11, c2_12, c2_22 = _christoffel_values(geom)
+    d11 = termwise_x1(u1, h) + c1_11 * u1 + c1_12 * u2
+    d12 = termwise_x2(u1, h) + c1_12 * u1 + c1_22 * u2
+    d21 = termwise_x1(u2, h) + c2_11 * u1 + c2_12 * u2
+    d22 = termwise_x2(u2, h) + c2_12 * u1 + c2_22 * u2
+    return d11, d12, d21, d22
+
+
+def termwise_gradient(problem: FlowProblem, u: np.ndarray, with_energy: bool = False):
+    """The energy gradient with every term in its own array and each
+    adjoint scattered into zeros: the package's gradient, operation for
+    operation and in the same order, before it wrote through scratch arrays."""
+    geom = problem.geom
+    h = geom.spec.h
+    w = geom.sqrt_detg.values * (h * h)
+    d11, d12, d21, d22 = termwise_covd(geom, u)
+    s11, s12, s21, s22 = w * d11, w * d12, w * d21, w * d22
+    c1_11, c1_12, c1_22, c2_11, c2_12, c2_22 = _christoffel_values(geom)
+    g1 = (
+        scatter_x1_adjoint(s11, h)
+        + scatter_x2_adjoint(s12, h)
+        + c1_11 * s11
+        + c1_12 * s12
+        + c2_11 * s21
+        + c2_12 * s22
+    )
+    g2 = (
+        scatter_x1_adjoint(s21, h)
+        + scatter_x2_adjoint(s22, h)
+        + c1_12 * s11
+        + c1_22 * s12
+        + c2_12 * s21
+        + c2_22 * s22
+    )
+    fx1, fx2 = problem.fx1.values, problem.fx2.values
+    r = fx1 * u[0] + fx2 * u[1] + problem.ft.values
+    awr = problem.alpha * w * r
+    g = np.empty((2,) + w.shape)
+    np.add(g1, awr * fx1, out=g[0])
+    np.add(g2, awr * fx2, out=g[1])
+    if with_energy:
+        total = np.sum(
+            w * (problem.alpha * r * r + d11 * d11 + d12 * d12 + d21 * d21 + d22 * d22)
+        )
+        return 0.5 * float(total), g
+    return g
+
+
+def _christoffel_values(geom: SurfaceGeometry):
+    names = ("gamma1_11", "gamma1_12", "gamma1_22", "gamma2_11", "gamma2_12", "gamma2_22")
+    return tuple(getattr(geom, name).values for name in names)
+
+
+def allocating_cg_steps(homogeneous: FlowProblem, config: SolverConfig, g, u):
+    """The solver's CG steps with every vector update allocating its result
+    and z and p sharing one array until the first direction update: the
+    package's loop before it updated in place."""
+    diagonal, off_diagonal = _inverse_blocks(_probe(homogeneous, _STENCIL[:1])[0])
+
+    def precondition(r):
+        return diagonal * r + off_diagonal * r[::-1]
+
+    def dot(x, y):
+        xy = x * y
+        return float(np.sum(xy[0]) + np.sum(xy[1]))
+
+    r = -g
+    p = z = precondition(r)
+    rz = dot(r, z)
+    while True:
+        q = _gradient_arrays(homogeneous, p)
+        p_dot_q = dot(p, q)
+        if p_dot_q <= 0.0:
+            return
+        step = rz / p_dot_q
+        u += step * p
+        r -= step * q
+        yield float(np.max(np.abs(r)))
+        z = precondition(r)
+        rz_next = dot(r, z)
+        p = z + (rz_next / rz) * p
+        rz = rz_next
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from surfaceflow.grid import (
@@ -17,6 +17,8 @@ from surfaceflow.grid import (
     diff_x2_array,
     hessian,
 )
+
+from reference import scatter_x1_adjoint, scatter_x2_adjoint, termwise_x1, termwise_x2
 
 
 def field_from(spec, fn, origin=(0.0, 0.0)):
@@ -161,6 +163,73 @@ class TestFirstDerivatives:
                 out = mine(v, h)
                 assert out.shape == (height, width)
                 assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def same_bits(a, b):
+    """Equal values and equal signs, so -0.0 and 0.0 differ."""
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+# each package stencil with its one-array reference from before stacking
+STENCIL_REFERENCES = (
+    (diff_x1_array, termwise_x1),
+    (diff_x2_array, termwise_x2),
+    (diff_x1_adjoint_array, scatter_x1_adjoint),
+    (diff_x2_adjoint_array, scatter_x2_adjoint),
+)
+
+
+class TestStackedStencils:
+    """The stencils on stacks and into output views are bitwise the
+    one-array stencils, and the gathered adjoints the scattered ones."""
+
+    @given(
+        height=st.integers(3, 20),
+        width=st.integers(3, 20),
+        h=st.floats(0.01, 100.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(height=13, width=10, h=1.0, seed=0)
+    @example(height=10, width=13, h=0.5, seed=1)
+    @example(height=3, width=20, h=2.0, seed=2)
+    @example(height=20, width=3, h=2.0, seed=3)
+    @settings(max_examples=60, deadline=None)
+    def test_match_one_array_references(self, height, width, h, seed):
+        # draws from signed zeros, subnormals and normal values, so a
+        # regrouped sum or a negation in place of 0 - x shows in the bits
+        rng = np.random.default_rng(seed)
+        pool = np.array([0.0, -0.0, 1e-320, -1e-320, 1.0, -1.0])
+        v = np.where(
+            rng.random((height, width)) < 0.5,
+            rng.choice(pool, (height, width)),
+            rng.standard_normal((height, width)),
+        )
+        for mine, ref in STENCIL_REFERENCES:
+            assert same_bits(mine(v, h), ref(v, h)), mine.__name__
+
+    @given(
+        height=st.integers(3, 20),
+        width=st.integers(3, 20),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(height=13, width=10, seed=0)
+    @example(height=10, width=13, seed=1)
+    @settings(max_examples=40, deadline=None)
+    def test_stack_matches_per_slice(self, height, width, seed):
+        # a (2, H, W) stack, returned or written into every other plane of a
+        # larger array (strided, as the energy gradient writes them), equals
+        # the 2-D calls on each slice
+        rng = np.random.default_rng(seed)
+        stack = rng.standard_normal((2, height, width))
+        h = float(rng.uniform(0.1, 3.0))
+        for mine, _ in STENCIL_REFERENCES:
+            per_slice = np.stack([mine(v, h) for v in stack])
+            assert same_bits(mine(stack, h), per_slice), mine.__name__
+            planes = np.full((2, 2, height, width), np.nan)
+            out = mine(stack, h, out=planes[:, 1])
+            assert np.shares_memory(out, planes)
+            assert same_bits(planes[:, 1], per_slice), mine.__name__
+            assert np.all(np.isnan(planes[:, 0]))
 
 
 class TestDiffT:

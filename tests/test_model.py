@@ -2,24 +2,37 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from surfaceflow.grid import GridSpec, ScalarField, VectorField, coordinate_arrays
 from surfaceflow.geometry import build_geometry
 from surfaceflow.model import (
     FlowProblem,
+    _covd_arrays,
+    _energy_arrays,
+    _gradient_arrays,
     energy,
     energy_gradient,
     ofc_residual,
     problem_from_frames,
 )
 
-from conftest import random_heights, random_problem, random_vector_field, smooth_field
+from conftest import (
+    random_field,
+    random_heights,
+    random_problem,
+    random_vector_field,
+    smooth_field,
+)
 from reference import (
     covariant_derivative,
     intrinsic_ofc_residual,
     surface_frame,
     tangent_coords,
     tangential_surface_velocity,
+    termwise_covd,
+    termwise_gradient,
 )
 
 INDEX_PAIRS = [(1, 1), (1, 2), (2, 1), (2, 2)]
@@ -284,6 +297,56 @@ class TestEnergyGradient:
         grad = energy_gradient(prob, constant_vector(spec, 1.0, 0.0))
         assert np.max(np.abs(grad.u1.values)) <= 1e-14
         assert np.max(np.abs(grad.u2.values)) <= 1e-14
+
+
+def same_bits(a, b):
+    """Equal values and equal signs, so -0.0 and 0.0 differ."""
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+class TestGradientMatchesTermwise:
+    """The stacked gradient, written through scratch arrays, is bitwise the
+    term-by-term assembly with every sum in the same order."""
+
+    @given(
+        height=st.integers(3, 20),
+        width=st.integers(3, 20),
+        h=st.floats(0.05, 5.0),
+        surface=st.sampled_from(["flat", "curved", "evolving"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(height=13, width=10, h=1.0, surface="curved", seed=0)
+    @example(height=10, width=13, h=1.0, surface="evolving", seed=0)
+    @example(height=3, width=17, h=0.5, surface="flat", seed=1)
+    @example(height=17, width=3, h=0.5, surface="curved", seed=1)
+    @settings(max_examples=60, deadline=None)
+    def test_bitwise(self, height, width, h, surface, seed):
+        spec = GridSpec(width, height, h=h)
+        rng = np.random.default_rng(seed)
+        if surface == "flat":
+            geom = build_geometry(ScalarField.zeros(spec))
+        else:
+            geom = build_geometry(*random_heights(spec, rng, evolving=surface == "evolving"))
+        prob = FlowProblem(
+            geom=geom,
+            fx1=random_field(spec, rng),
+            fx2=random_field(spec, rng),
+            ft=random_field(spec, rng),
+            alpha=float(rng.uniform(0.1, 100.0)),
+        )
+        # signed zeros among the flow values, so sign changes would show
+        u = rng.standard_normal((2, height, width))
+        u[rng.random(u.shape) < 0.2] = 0.0
+        u[rng.random(u.shape) < 0.2] = -0.0
+
+        value, g = _gradient_arrays(prob, u, with_energy=True)
+        ref_value, ref_g = termwise_gradient(prob, u, with_energy=True)
+        assert value == ref_value == _energy_arrays(prob, u)
+        assert same_bits(g, ref_g)
+        assert same_bits(_gradient_arrays(prob, u), ref_g)
+        d = _covd_arrays(geom, u)
+        for mine, ref in zip(d.reshape((4,) + spec.shape), termwise_covd(geom, u)):
+            assert same_bits(mine, ref)
 
 
 class TestIntrinsicResidual:

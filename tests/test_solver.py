@@ -1,7 +1,11 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import surfaceflow.solver as solver
 from surfaceflow.grid import GridSpec, ScalarField, VectorField, coordinate_arrays
@@ -23,7 +27,13 @@ from conftest import (
     random_problem,
     random_vector_field,
 )
-from reference import check_natural_bc, full_apply_sor, square_probe, stencil_apply
+from reference import (
+    allocating_cg_steps,
+    check_natural_bc,
+    full_apply_sor,
+    square_probe,
+    stencil_apply,
+)
 
 
 def quadratic_translation_problem(n, extent=4.0, alpha=10.0):
@@ -368,6 +378,84 @@ class TestBlocks:
         block[:, :, 2, 3] = [[a11, a12], [a12, a22]]
         with pytest.raises(ValueError, match="not positive definite"):
             solver._inverse_blocks(block)
+
+
+def cg_run(steps, prob, u0, limit=500, floor=1e-13):
+    """The residuals a CG step generator yields from ``u0``, up to ``limit``
+    or once one falls below ``floor``, and the flow it leaves."""
+    u = u0.copy()
+    g = _gradient_arrays(prob, u)
+    residuals = []
+    generator = steps(solver._homogeneous(prob), SolverConfig(method="cg"), g, u)
+    for res in itertools.islice(generator, limit):
+        residuals.append(res)
+        if res < floor:
+            break
+    return residuals, u
+
+
+class TestInPlaceCG:
+    """CG's in-place updates leave every iterate the allocating loop's."""
+
+    @pytest.mark.parametrize("height, width", [(12, 12), (13, 10), (10, 13), (17, 9)])
+    @pytest.mark.parametrize("surface", ["flat", "curved", "evolving"])
+    def test_same_residuals_and_flow(self, height, width, surface):
+        rng = np.random.default_rng(height * 100 + width)
+        prob = drawn_problem(height, width, surface, rng)
+        u0 = rng.standard_normal((2, height, width))
+        residuals, u = cg_run(solver._cg_steps, prob, u0)
+        ref_residuals, ref_u = cg_run(allocating_cg_steps, prob, u0)
+        assert len(residuals) > 5
+        assert residuals == ref_residuals
+        assert np.array_equal(u, ref_u)
+
+    def test_same_breakdown(self):
+        # the 3x3 regularizer-only problem, whose steps run on below rounding
+        # until they end on p.q <= 0
+        spec = GridSpec(3, 3)
+        zero = ScalarField.zeros(spec)
+        prob = FlowProblem(geom=build_geometry(zero), fx1=zero, fx2=zero, ft=zero)
+        u0 = np.random.default_rng(1).standard_normal((2, 3, 3))
+        residuals, u = cg_run(solver._cg_steps, prob, u0, limit=1000, floor=0.0)
+        ref_residuals, ref_u = cg_run(allocating_cg_steps, prob, u0, limit=1000, floor=0.0)
+        assert len(residuals) == 14
+        assert residuals == ref_residuals
+        assert np.array_equal(u, ref_u)
+
+
+class TestMaxNorm:
+    @given(
+        hnp.arrays(
+            np.float64,
+            hnp.array_shapes(min_dims=1, max_dims=3, max_side=6),
+            elements=st.floats(allow_nan=False) | st.sampled_from([0.0, -0.0]),
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_bitwise_max_abs(self, x):
+        mine = solver._max_norm(x)
+        assert type(mine) is float
+        assert np.float64(mine).tobytes() == np.float64(np.max(np.abs(x))).tobytes()
+
+    @pytest.mark.parametrize("where", [0, 7, -1])
+    def test_nan(self, where):
+        x = np.random.default_rng(0).standard_normal((2, 3, 4))
+        x.reshape(-1)[where] = np.nan
+        assert math.isnan(solver._max_norm(x))
+
+
+class TestHomogeneous:
+    def test_shares_the_problem_and_skips_its_checks(self, monkeypatch, rng):
+        prob = drawn_problem(7, 5, "evolving", rng)
+        calls = []
+        monkeypatch.setattr(FlowProblem, "__post_init__", lambda self: calls.append(self))
+        homogeneous = solver._homogeneous(prob)
+        assert calls == []
+        assert homogeneous.geom is prob.geom
+        assert homogeneous.fx1 is prob.fx1 and homogeneous.fx2 is prob.fx2
+        assert homogeneous.alpha == prob.alpha
+        assert homogeneous.ft.spec == prob.spec and np.all(homogeneous.ft.values == 0.0)
+        assert np.any(prob.ft.values != 0.0)
 
 
 class TestSolve:
