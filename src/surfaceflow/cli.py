@@ -35,7 +35,7 @@ from .io import (
     write_ppm,
 )
 # energy and energy_gradient stay bound here: perfbench/tracing.py wraps them by name
-from .model import _gradient_arrays, energy, energy_gradient, problem_from_frames
+from .model import FlowProblem, _gradient_arrays, energy, energy_gradient, problem_from_frames
 from .solver import METHOD_ALIASES, SolverConfig, _max_norm, solve
 from .synth import SCENE_NAMES, make_scene, render
 
@@ -105,26 +105,24 @@ def _parser() -> argparse.ArgumentParser:
     p_flow = sub.add_parser(
         "flow", help="estimate flow for one frame pair", allow_abbrev=False
     )
-    p_flow.add_argument("--manifest", required=True)
-    p_flow.add_argument("--frame", type=int, default=0, help="first frame index i")
-    p_flow.add_argument(
-        "--frame-b", type=int, default=None, help="second frame index j (default i+1)"
-    )
-    p_flow.add_argument("--alpha", type=_positive_float, default=10.0)
-    p_flow.add_argument("--method", default="sor", type=str.lower, choices=tuple(METHOD_ALIASES))
-    p_flow.add_argument("--omega", type=float, default=1.9)
-    p_flow.add_argument("--tol", type=_positive_float, default=1e-6)
-    p_flow.add_argument("--max-iter", type=int, default=50000)
-    p_flow.add_argument("--out", required=True, help="output directory")
-    p_flow.add_argument("--color", action="store_true", help="also write a PPM image")
-
     p_energy = sub.add_parser(
         "energy", help="evaluate the energy of a stored flow", allow_abbrev=False
     )
-    p_energy.add_argument("--manifest", required=True)
-    p_energy.add_argument("--frame", type=int, default=0)
-    p_energy.add_argument("--frame-b", type=int, default=None)
-    p_energy.add_argument("--alpha", type=_positive_float, default=10.0)
+    for p in (p_flow, p_energy):
+        p.add_argument("--manifest", required=True)
+        p.add_argument("--frame", type=int, default=0, help="first frame index i")
+        p.add_argument(
+            "--frame-b", type=int, default=None, help="second frame index j (default i+1)"
+        )
+        p.add_argument("--alpha", type=_positive_float, default=FlowProblem.alpha)
+    p_flow.add_argument(
+        "--method", default=SolverConfig.method, type=str.lower, choices=tuple(METHOD_ALIASES)
+    )
+    p_flow.add_argument("--omega", type=float, default=SolverConfig.omega)
+    p_flow.add_argument("--tol", type=_positive_float, default=SolverConfig.tol)
+    p_flow.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
+    p_flow.add_argument("--out", required=True, help="output directory")
+    p_flow.add_argument("--color", action="store_true", help="also write a PPM image")
     p_energy.add_argument("--flow", required=True, help="flow file to evaluate")
 
     p_color = sub.add_parser(

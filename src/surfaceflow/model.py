@@ -94,7 +94,7 @@ def problem_from_frames(
     frame_a: ScalarField,
     frame_b: ScalarField,
     geom: SurfaceGeometry | None = None,
-    alpha: float = 10.0,
+    alpha: float = FlowProblem.alpha,
     dt: float | None = None,
 ) -> FlowProblem:
     """Differentiate a frame pair into a :class:`FlowProblem`.
@@ -118,25 +118,26 @@ def problem_from_frames(
 
 def ofc_residual(problem: FlowProblem, u: VectorField) -> ScalarField:
     """Pulled-back optical-flow-constraint residual fx1*u1 + fx2*u2 + ft."""
-    if u.spec != problem.spec:
-        raise ValueError("flow field does not match the problem grid spec")
-    r = _residual_array(problem, np.stack((u.u1.values, u.u2.values)))
+    r = _residual_array(problem, _flow_array(problem, u))
     return ScalarField(problem.spec, r)
 
 
 def energy(problem: FlowProblem, u: VectorField) -> float:
     """Discrete energy value; the quantity every solver step must not increase."""
-    if u.spec != problem.spec:
-        raise ValueError("flow field does not match the problem grid spec")
-    return _energy_arrays(problem, np.stack((u.u1.values, u.u2.values)))
+    return _energy_arrays(problem, _flow_array(problem, u))
 
 
 def energy_gradient(problem: FlowProblem, u: VectorField) -> VectorField:
     """Exact gradient of :func:`energy` with respect to the flow values."""
+    g = _gradient_arrays(problem, _flow_array(problem, u))
+    return VectorField.from_arrays(problem.spec, *g)
+
+
+def _flow_array(problem: FlowProblem, u: VectorField) -> np.ndarray:
+    """A flow on the problem's grid as a new (2, height, width) array."""
     if u.spec != problem.spec:
         raise ValueError("flow field does not match the problem grid spec")
-    g = _gradient_arrays(problem, np.stack((u.u1.values, u.u2.values)))
-    return VectorField.from_arrays(problem.spec, *g)
+    return np.stack((u.u1.values, u.u2.values))
 
 
 def _quad_weights(geom: SurfaceGeometry, out=None) -> np.ndarray:

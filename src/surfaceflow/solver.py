@@ -67,7 +67,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import ScalarField, VectorField
-from .model import FlowProblem, _energy_arrays, _gradient_arrays
+from .model import FlowProblem, _energy_arrays, _flow_array, _gradient_arrays
 
 __all__ = [
     "METHOD_ALIASES",
@@ -171,12 +171,7 @@ def solve(
     if config is None:
         config = SolverConfig()
     spec = problem.spec
-    if u0 is None:
-        u = np.zeros((2,) + spec.shape)
-    else:
-        if u0.spec != spec:
-            raise ValueError("initial guess does not match the problem grid spec")
-        u = np.stack((u0.u1.values, u0.u2.values))
+    u = np.zeros((2,) + spec.shape) if u0 is None else _flow_array(problem, u0)
 
     e_initial, g = _gradient_arrays(problem, u, with_energy=True)
     e_final = e_initial

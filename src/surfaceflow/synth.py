@@ -7,9 +7,12 @@ evolving) graph surface:
 
 so brightness is constant along trajectories by construction, exactly, with
 no integration error.  Pattern, surfaces and motions are all closed-form;
-motions give exact velocity fields.  Ground truth is the coordinate velocity
-of the motion (the quantity the solver estimates), sampled per grid point
-and per frame.  A surface gives only its height: the validation helpers in
+motions give exact velocity fields.  A motion gives only its forward map and
+its velocity, so every motion must be a one-parameter group,
+beta(beta(x, t), s) = beta(x, t + s), which makes beta^{-1}(x, t) equal to
+beta(x, -t).  Ground truth is the coordinate velocity of the motion (the
+quantity the solver estimates), sampled per grid point and per frame.  A
+surface gives only its height: the validation helpers in
 ``tests/reference.py`` derive the evolving :class:`MovingBump`'s exact
 slopes and height rate.
 
@@ -35,7 +38,6 @@ __all__ = [
     "Tilt",
     "Paraboloid",
     "MovingBump",
-    "Identity",
     "Translation",
     "Rotation",
     "SyntheticScene",
@@ -50,8 +52,8 @@ class GaussianPattern:
     """Mixture of isotropic Gaussians over a constant base intensity.
 
     ``components`` holds (amplitude, center1, center2, sigma) tuples.  The
-    pattern and its gradient are defined on the whole plane, so motions may
-    pull sample points outside the grid without special casing.
+    pattern is defined on the whole plane, so motions may pull sample points
+    outside the grid without special casing.
     """
 
     base: float = 0.4
@@ -63,18 +65,6 @@ class GaussianPattern:
             q = (x1 - c1) ** 2 + (x2 - c2) ** 2
             out = out + amp * np.exp(-q / (2.0 * sigma * sigma))
         return out
-
-    def grad(self, x1: np.ndarray, x2: np.ndarray):
-        shape = np.broadcast(x1, x2).shape
-        g1 = np.zeros(shape)
-        g2 = np.zeros(shape)
-        for amp, c1, c2, sigma in self.components:
-            inv = 1.0 / (sigma * sigma)
-            q = (x1 - c1) ** 2 + (x2 - c2) ** 2
-            e = amp * np.exp(-q * inv / 2.0)
-            g1 = g1 - e * (x1 - c1) * inv
-            g2 = g2 - e * (x2 - c2) * inv
-        return g1, g2
 
     def scaled(self, extent: float) -> "GaussianPattern":
         """The same mixture with centers and widths multiplied by ``extent``."""
@@ -159,21 +149,6 @@ class MovingBump:
 
 
 @dataclass(frozen=True)
-class Identity:
-    """No motion."""
-
-    def map(self, x1, x2, t):
-        return np.asarray(x1, dtype=float).copy(), np.asarray(x2, dtype=float).copy()
-
-    def unmap(self, x1, x2, t):
-        return self.map(x1, x2, t)
-
-    def velocity(self, x1, x2, t):
-        shape = np.broadcast(x1, x2).shape
-        return np.zeros(shape), np.zeros(shape)
-
-
-@dataclass(frozen=True)
 class Translation:
     """Uniform drift with constant velocity (v1, v2)."""
 
@@ -182,9 +157,6 @@ class Translation:
 
     def map(self, x1, x2, t):
         return x1 + self.v1 * t, x2 + self.v2 * t
-
-    def unmap(self, x1, x2, t):
-        return x1 - self.v1 * t, x2 - self.v2 * t
 
     def velocity(self, x1, x2, t):
         shape = np.broadcast(x1, x2).shape
@@ -198,17 +170,12 @@ class Rotation:
     omega: float = 0.05
     center: tuple[float, float] = (0.0, 0.0)
 
-    def _rotate(self, x1, x2, angle):
+    def map(self, x1, x2, t):
+        angle = self.omega * t
         c, s = math.cos(angle), math.sin(angle)
         r1 = x1 - self.center[0]
         r2 = x2 - self.center[1]
         return self.center[0] + c * r1 - s * r2, self.center[1] + s * r1 + c * r2
-
-    def map(self, x1, x2, t):
-        return self._rotate(x1, x2, self.omega * t)
-
-    def unmap(self, x1, x2, t):
-        return self._rotate(x1, x2, -self.omega * t)
 
     def velocity(self, x1, x2, t):
         r1 = x1 - self.center[0]
@@ -259,7 +226,10 @@ def render(scene: SyntheticScene):
     truth = []
     for k in range(scene.frame_count):
         t = k * spec.dt
-        a1, a2 = scene.motion.unmap(x1, x2, t)
+        # beta(x, -t) has the closed-form inverse's bits: IEEE products are
+        # sign-symmetric and x - y is x + (-y), so x + v (-t) == x - v t and
+        # omega (-t) == (-omega) t, also at t = 0 where -t is -0.0 (x + (-0.0) is x)
+        a1, a2 = scene.motion.map(x1, x2, -t)
         values = scene.pattern(a1, a2)
         if scene.noise_sigma > 0:
             values = values + rng.normal(0.0, scene.noise_sigma, size=values.shape)
@@ -321,7 +291,7 @@ def make_scene(
     extent = float(size - 1)
     c = extent / 2.0
     table = {
-        "flat-static": (Flat(), Identity()),
+        "flat-static": (Flat(), Translation(0.0, 0.0)),
         "flat-translate": (Flat(), Translation(1.0, 0.0)),
         "flat-rotate": (Flat(), Rotation(omega=0.05, center=(c, c))),
         "tilt-translate": (Tilt(0.5, 0.2), Translation(1.0, 0.0)),

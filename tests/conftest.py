@@ -13,6 +13,11 @@ settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
 
 
+def same_bits(a, b):
+    """Equal values and equal signs, so -0.0 and 0.0 differ."""
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
 def random_field(spec: GridSpec, rng, scale: float = 1.0) -> ScalarField:
     return ScalarField(spec, scale * rng.standard_normal((spec.height, spec.width)))
 

@@ -3,7 +3,8 @@
 These functions check the package's production path from the outside: the
 graph's tangent frame and metric, which the energy never reads, the general
 Levi-Civita formula against the closed-form graph Christoffel symbols, the
-moving bump's closed-form height rate and slopes, the surface form of the
+moving bump's closed-form height rate and slopes, the pattern's closed-form
+gradient, the motions' closed-form inverse maps, the surface form of the
 optical-flow constraint against the pulled-back residual, the natural
 boundary condition of converged flows, brightness constancy along
 ground-truth trajectories, the solver's probed stencil against whole-grid
@@ -20,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import itertools
+import math
 
 import numpy as np
 
@@ -221,6 +223,34 @@ def _bump_offsets(surface, x1, x2, t):
         x1 - (surface.center[0] + surface.drift[0] * t),
         x2 - (surface.center[1] + surface.drift[1] * t),
     )
+
+
+def pattern_grad(pattern, x1, x2):
+    """Closed-form gradient (dF/dx1, dF/dx2) of a ``synth.GaussianPattern``."""
+    shape = np.broadcast(x1, x2).shape
+    g1 = np.zeros(shape)
+    g2 = np.zeros(shape)
+    for amp, c1, c2, sigma in pattern.components:
+        inv = 1.0 / (sigma * sigma)
+        q = (x1 - c1) ** 2 + (x2 - c2) ** 2
+        e = amp * np.exp(-q * inv / 2.0)
+        g1 = g1 - e * (x1 - c1) * inv
+        g2 = g2 - e * (x2 - c2) * inv
+    return g1, g2
+
+
+def translation_inverse(motion, x1, x2, t):
+    """The closed-form inverse map of a ``synth.Translation``: x - v t."""
+    return x1 - motion.v1 * t, x2 - motion.v2 * t
+
+
+def rotation_inverse(motion, x1, x2, t):
+    """The closed-form inverse map of a ``synth.Rotation``: rotation by -omega t."""
+    angle = -motion.omega * t
+    c, s = math.cos(angle), math.sin(angle)
+    r1 = x1 - motion.center[0]
+    r2 = x2 - motion.center[1]
+    return motion.center[0] + c * r1 - s * r2, motion.center[1] + s * r1 + c * r2
 
 
 # ---------------------------------------------------------------------------

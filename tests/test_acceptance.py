@@ -33,6 +33,7 @@ from reference import (
     check_natural_bc,
     christoffel_from_metric,
     intrinsic_ofc_residual,
+    pattern_grad,
     surface_frame,
     tangent_coords,
     tangential_surface_velocity,
@@ -180,7 +181,7 @@ def _bump_residual_fields(n):
         ),
     )
     velocity = (0.04, 0.025)
-    g1, g2 = pattern.grad(x1, x2)
+    g1, g2 = pattern_grad(pattern, x1, x2)
     fx1 = ScalarField(spec, g1)
     fx2 = ScalarField(spec, g2)
     ft = ScalarField(spec, -(g1 * velocity[0] + g2 * velocity[1]))

@@ -29,7 +29,7 @@ from surfaceflow.io import (
     write_flow,
     write_ppm,
 )
-from surfaceflow.model import energy, energy_gradient, problem_from_frames
+from surfaceflow.model import FlowProblem, energy, energy_gradient, problem_from_frames
 from surfaceflow.solver import METHOD_ALIASES, SolverConfig, solve
 from surfaceflow.synth import Translation, make_scene
 
@@ -689,6 +689,17 @@ class TestParserReuse:
         monkeypatch.setattr(surfaceflow.cli, "cmd_eval", lambda args: seen.append(args) or 7)
         assert main(argv) == 7
         assert [(args.command, args.flow) for args in seen] == [("eval", str(flow))]
+
+
+class TestParserDefaults:
+    def test_defaults_are_the_library_defaults(self):
+        parse = surfaceflow.cli._parser().parse_args
+        flow = parse(["flow", "--manifest", "m", "--out", "o"])
+        assert (flow.method, flow.omega, flow.tol, flow.max_iter) == dataclasses.astuple(
+            SolverConfig()
+        )
+        energy_args = parse(["energy", "--manifest", "m", "--flow", "f"])
+        assert flow.alpha == energy_args.alpha == FlowProblem.alpha
 
 
 class TestTopLevel:

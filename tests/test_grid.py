@@ -18,6 +18,7 @@ from surfaceflow.grid import (
     hessian,
 )
 
+from conftest import same_bits
 from reference import scatter_x1_adjoint, scatter_x2_adjoint, termwise_x1, termwise_x2
 
 
@@ -163,11 +164,6 @@ class TestFirstDerivatives:
                 out = mine(v, h)
                 assert out.shape == (height, width)
                 assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
-
-
-def same_bits(a, b):
-    """Equal values and equal signs, so -0.0 and 0.0 differ."""
-    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
 # each package stencil with its one-array reference from before stacking

@@ -17,12 +17,14 @@ from surfaceflow.model import (
     ofc_residual,
     problem_from_frames,
 )
+from surfaceflow.solver import solve
 
 from conftest import (
     random_field,
     random_heights,
     random_problem,
     random_vector_field,
+    same_bits,
     smooth_field,
 )
 from reference import (
@@ -86,6 +88,18 @@ class TestFlowProblemValidation:
         ok = ScalarField.zeros(GridSpec(4, 4))
         with pytest.raises(ValueError):
             FlowProblem(geom=geom, fx1=other, fx2=ok, ft=ok)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [energy, energy_gradient, ofc_residual, lambda problem, u: solve(problem, u0=u)],
+    ids=["energy", "energy_gradient", "ofc_residual", "solve"],
+)
+@pytest.mark.parametrize("other", [GridSpec(4, 5), GridSpec(5, 4, h=0.5)], ids=["shape", "h"])
+def test_flow_on_another_grid_rejected(call, other, rng):
+    prob = random_problem(GridSpec(5, 4), rng)
+    with pytest.raises(ValueError, match="flow field does not match the problem grid spec"):
+        call(prob, random_vector_field(other, rng))
 
 
 class TestOfcResidual:
@@ -297,11 +311,6 @@ class TestEnergyGradient:
         grad = energy_gradient(prob, constant_vector(spec, 1.0, 0.0))
         assert np.max(np.abs(grad.u1.values)) <= 1e-14
         assert np.max(np.abs(grad.u2.values)) <= 1e-14
-
-
-def same_bits(a, b):
-    """Equal values and equal signs, so -0.0 and 0.0 differ."""
-    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
 class TestGradientMatchesTermwise:

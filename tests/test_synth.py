@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from surfaceflow.grid import GridSpec, ScalarField, coordinate_arrays
 from surfaceflow.geometry import build_geometry
@@ -9,7 +11,6 @@ from surfaceflow.synth import (
     SCENE_NAMES,
     Flat,
     GaussianPattern,
-    Identity,
     Rotation,
     SyntheticScene,
     Translation,
@@ -17,7 +18,8 @@ from surfaceflow.synth import (
     render,
 )
 
-from reference import bca_residual
+from conftest import same_bits
+from reference import bca_residual, pattern_grad, rotation_inverse, translation_inverse
 
 
 def pixel_scene(size, surface, pattern, motion, frame_count=3, **kwargs):
@@ -70,7 +72,7 @@ class TestSceneValidation:
 class TestGroundTruth:
     def test_identity_motion(self):
         scene = pixel_scene(
-            17, Flat(), make_scene("flat-static", size=17).pattern, Identity()
+            17, Flat(), make_scene("flat-static", size=17).pattern, Translation(0.0, 0.0)
         )
         frames, heights, truth = render(scene)
         for frame in frames[1:]:
@@ -116,10 +118,52 @@ class TestGroundTruth:
             assert len(truth) == 2
 
 
+coordinate = st.sampled_from([0.0, -0.0]) | st.floats(-1e6, 1e6)
+coordinates = st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=16).map(
+    lambda pairs: tuple(np.array(c) for c in zip(*pairs))
+)
+times = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1e3)
+SIGNED_ZEROS = (np.array([0.0, -0.0, 0.0, -0.0]), np.array([0.0, 0.0, -0.0, -0.0]))
+
+
+class TestInverseMaps:
+    """``render`` samples the pattern at beta(x, -t); that has the bits of
+    the closed-form inverse, signed zeros included."""
+
+    @given(v=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)), x=coordinates, t=times)
+    @example(v=(1.0, 0.0), x=SIGNED_ZEROS, t=0.0)
+    @settings(max_examples=200, deadline=None)
+    def test_translation(self, v, x, t):
+        motion = Translation(*v)
+        got = motion.map(*x, -t)
+        want = translation_inverse(motion, *x, t)
+        assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+
+    @given(
+        omega=st.floats(-10.0, 10.0),
+        center=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+        x=coordinates,
+        t=times,
+    )
+    @example(omega=0.05, center=(0.0, 0.0), x=SIGNED_ZEROS, t=0.0)
+    @settings(max_examples=200, deadline=None)
+    def test_rotation(self, omega, center, x, t):
+        motion = Rotation(omega=omega, center=center)
+        got = motion.map(*x, -t)
+        want = rotation_inverse(motion, *x, t)
+        assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+
+    @given(x=coordinates, t=times)
+    @example(x=SIGNED_ZEROS, t=0.0)
+    def test_zero_translation_keeps_coordinates(self, x, t):
+        got = Translation(0.0, 0.0).map(*x, -t)
+        assert same_bits(got[0], x[0]) and same_bits(got[1], x[1])
+
+
 class TestBrightnessConstancy:
     def test_identity_residual_zero(self):
         scene = pixel_scene(
-            17, Flat(), make_scene("flat-static", size=17).pattern, Identity()
+            17, Flat(), make_scene("flat-static", size=17).pattern, Translation(0.0, 0.0)
         )
         frames, _, truth = render(scene)
         assert bca_residual(frames, truth, scene.spec) == 0.0
@@ -184,7 +228,7 @@ class TestPattern:
         rng = np.random.default_rng(5)
         pts1 = rng.uniform(5.0, 27.0, 50)
         pts2 = rng.uniform(5.0, 27.0, 50)
-        g1, g2 = pattern.grad(pts1, pts2)
+        g1, g2 = pattern_grad(pattern, pts1, pts2)
         eps = 1e-6
         fd1 = (pattern(pts1 + eps, pts2) - pattern(pts1 - eps, pts2)) / (2 * eps)
         fd2 = (pattern(pts1, pts2 + eps) - pattern(pts1, pts2 - eps)) / (2 * eps)
