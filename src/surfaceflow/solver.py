@@ -53,20 +53,24 @@ guess's gradient, met ``tol``), ``max_iter``, or ``breakdown`` (the method's
 generator ended first, as CG does on a direction of zero curvature).
 
 Counted in gradient applies, a solve that iterates costs 1 at setup (the
-gradient and energy at the initial flow, from zero or a given u0), then the
-probe, 20 for SOR or 6 for CG, then none per SOR sweep and 1 per CG
-iteration, and 1 at the end for the gradient and energy at the returned flow.
+gradient and energy at the initial flow), then the probe, 20 for SOR or 6
+for CG, then none per SOR sweep and 1 per CG iteration, and 1 at the end for
+the gradient and energy at the returned flow.  A cold solve (no u0) on a grid
+with both sides odd and above 65 adds the cost of ``solve`` on its coarse
+problem, every other sample of its fields with h doubled (257 recurses to 129
+and 65), and starts from that flow prolonged bilinearly (nested iteration,
+after Deuflhard): within ``tol`` of a zero start's flow, bitwise repeatable.
 """
 
 from __future__ import annotations
 
 import copy
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import ScalarField, VectorField
+from .grid import GridSpec, ScalarField, VectorField
 from .model import FlowProblem, _energy_arrays, _flow_array, _gradient_arrays
 
 __all__ = [
@@ -93,10 +97,11 @@ class SolverConfig:
     rounding of its terms, about 1e-16 times their size.  A ``tol`` near or
     below that floor is not attainable: CG may then stop on its recurrence
     residual with ``converged`` False, or step on rounding noise until the
-    energy rises and the report raises ``ValueError``.
+    energy rises and the report raises ``ValueError``.  A cold solve on a grid
+    with both sides odd and above 65 runs this config on each coarse level too.
     """
 
-    method: str = "sor"
+    method: str = "cg"
     omega: float = 1.9
     tol: float = 1e-6
     max_iter: int = 50000
@@ -122,7 +127,8 @@ class SolverReport:
 
     ``grad_inf_norm`` is the max-norm of the energy gradient at the returned
     flow, the quantity the stopping rule bounds; ``stop_reason`` is
-    ``converged``, ``max_iter`` or ``breakdown``.
+    ``converged``, ``max_iter`` or ``breakdown``.  ``coarse_iterations`` are
+    a nested start's counts, coarsest level first; the rest is the fine grid's.
     """
 
     method: str
@@ -133,6 +139,7 @@ class SolverReport:
     grad_inf_norm: float
     stop_reason: str = "converged"
     energy_trace: tuple[float, ...] | None = None
+    coarse_iterations: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         if self.iterations < 0:
@@ -155,6 +162,9 @@ _STENCIL = ((0, 0), (0, -2), (0, -1), (0, 1), (0, 2), (-2, 0), (-1, 0), (1, 0), 
 # the 16 SOR colors (row mod 4, col mod 4), row-major
 _COLORS = tuple((a, c) for a in range(4) for c in range(4))
 
+# nested starts above this side length; at 65 the coarse solve costs more than it saves
+_NESTED_ABOVE = 65
+
 
 def solve(
     problem: FlowProblem,
@@ -171,7 +181,12 @@ def solve(
     if config is None:
         config = SolverConfig()
     spec = problem.spec
-    u = np.zeros((2,) + spec.shape) if u0 is None else _flow_array(problem, u0)
+    if u0 is not None:
+        u, coarse_iterations = _flow_array(problem, u0), ()
+    elif spec.width % 2 and spec.height % 2 and min(spec.shape) > _NESTED_ABOVE:
+        u, coarse_iterations = _prolong(*solve(_coarsen(problem), config))
+    else:
+        u, coarse_iterations = np.zeros((2,) + spec.shape), ()
 
     e_initial, g = _gradient_arrays(problem, u, with_energy=True)
     e_final = e_initial
@@ -201,8 +216,33 @@ def solve(
         grad_inf_norm=res,
         stop_reason=stop_reason,
         energy_trace=tuple(trace) if track_energy else None,
+        coarse_iterations=coarse_iterations,
     )
     return VectorField.from_arrays(spec, *u), report
+
+
+def _coarsen(problem):
+    """The problem on every other sample, h doubled, from its fields alone."""
+    spec, geom = problem.spec, problem.geom
+    coarse = GridSpec((spec.width + 1) // 2, (spec.height + 1) // 2, 2 * spec.h, spec.dt)
+    sample = lambda field: ScalarField(coarse, field.values[::2, ::2])
+    names = ("sqrt_detg",) + tuple(f"gamma{i}_{jk}" for i in (1, 2) for jk in ("11", "12", "22"))
+    fields = {name: sample(getattr(geom, name)) for name in names}
+    geom = replace(geom, spec=coarse, zt=ScalarField.zeros(coarse), evolving=False, **fields)
+    data = (sample(field) for field in (problem.fx1, problem.fx2, problem.ft))
+    return FlowProblem(geom, *data, problem.alpha)
+
+
+def _prolong(flow, report):
+    """A coarse solve's flow, interpolated bilinearly onto the grid it samples at
+    every other point, and its levels' iteration counts, coarsest first."""
+    height, width = flow.spec.shape
+    u = np.empty((2, 2 * height - 1, 2 * width - 1))
+    u[:, ::2, ::2] = flow.u1.values, flow.u2.values
+    for v in (u[:, :, ::2], u.swapaxes(1, 2)):  # the row, then the column midpoints
+        mid = np.add(v[:, :-1:2], v[:, 2::2], out=v[:, 1::2])
+        mid *= 0.5
+    return u, report.coarse_iterations + (report.iterations,)
 
 
 def _max_norm(g: np.ndarray) -> float:

@@ -58,3 +58,33 @@ def classical_hs_energy(fx1, fx2, ft, alpha, h, u1, u2) -> float:
         parts.append(np.sum((d1 @ comp) ** 2))
         parts.append(np.sum((d2 @ comp) ** 2))
     return 0.5 * h * h * float(sum(parts))
+
+
+def covariant_hs_system(fx1, fx2, ft, alpha: float, h: float, sqrt_detg, gamma):
+    """Sparse (A, b, c) of the covariant discrete energy on a graph surface,
+    E = 1/2 sum w [alpha (fx1 u1 + fx2 u2 + ft)^2 + sum_ij (D_j u^i)^2] with
+    w = sqrt(det g) h^2 and D_j u^i = d_j u^i + sum_k G^i_jk u^k, where
+    ``gamma[i, j, k]`` holds G^i_jk (indices from 0).
+
+    Unknown ordering as in :func:`classical_hs_system`; E(u) = 1/2 u^T A u +
+    b^T u + c.
+    """
+    fx1, fx2, ft = (np.asarray(a, dtype=float) for a in (fx1, fx2, ft))
+    height, width = fx1.shape
+    d = (
+        sp.kron(sp.identity(height), stencil_1d(width, h)),
+        sp.kron(stencil_1d(height, h), sp.identity(width)),
+    )
+    # one block row [D_j u^i from u^1, from u^2] per (i, j)
+    rows = [
+        [(d[j] if k == i else 0) + sp.diags(np.ravel(gamma[i, j, k])) for k in range(2)]
+        for i in range(2)
+        for j in range(2)
+    ]
+    cov = sp.bmat(rows).tocsr()
+    w = (np.asarray(sqrt_detg, dtype=float) * h * h).ravel()
+    data = sp.hstack([sp.diags(fx1.ravel()), sp.diags(fx2.ravel())]).tocsr()
+    a = cov.T @ sp.diags(np.tile(w, 4)) @ cov + alpha * (data.T @ sp.diags(w) @ data)
+    b = alpha * (data.T @ (w * ft.ravel()))
+    c = 0.5 * alpha * float(np.sum(w * ft.ravel() ** 2))
+    return a.tocsr(), b, c

@@ -26,6 +26,7 @@ from conftest import (
     random_geometry,
     random_problem,
     random_vector_field,
+    same_bits,
 )
 from reference import (
     allocating_cg_steps,
@@ -55,7 +56,7 @@ def quadratic_translation_problem(n, extent=4.0, alpha=10.0):
 class TestSolverConfig:
     def test_defaults(self):
         config = SolverConfig()
-        assert config.method == "sor"
+        assert config.method == "cg"
         assert config.omega == 1.9
         assert config.tol == 1e-6
         assert config.max_iter == 50000
@@ -241,9 +242,9 @@ class TestStencil:
             ft=random_field(spec, rng),
         )
         for config in (
-            SolverConfig(tol=1e-300, max_iter=1),
-            SolverConfig(tol=1e-300, max_iter=7),
-            SolverConfig(tol=1e-8),
+            SolverConfig(method="sor", tol=1e-300, max_iter=1),
+            SolverConfig(method="sor", tol=1e-300, max_iter=7),
+            SolverConfig(method="sor", tol=1e-8),
         ):
             flow, report = solve(prob, config)
             converged, sweeps, u1, u2, res = full_apply_sor(
@@ -698,6 +699,138 @@ class TestSolve:
         flat = scene_epe("flat-translate")
         curved = scene_epe("paraboloid-translate")
         assert curved <= 1.2 * flat
+
+
+def counted_applies(monkeypatch):
+    """The list that every gradient apply in the solver appends to."""
+    calls = []
+    original = solver._gradient_arrays
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_gradient_arrays", counting)
+    return calls
+
+
+def oracle_gradient_and_energy(prob, flow):
+    """The energy gradient's max-norm and the energy at ``flow``, from the
+    scipy sparse covariant system."""
+    from oracles import covariant_hs_system
+
+    geom = prob.geom
+    gamma = np.array([
+        [[getattr(geom, f"gamma{i}_{min(j, k)}{max(j, k)}").values for k in (1, 2)] for j in (1, 2)]
+        for i in (1, 2)
+    ])
+    a, b, c = covariant_hs_system(
+        prob.fx1.values, prob.fx2.values, prob.ft.values, prob.alpha, prob.spec.h,
+        geom.sqrt_detg.values, gamma,
+    )
+    u = np.concatenate([flow.u1.values.ravel(), flow.u2.values.ravel()])
+    au = a @ u
+    return float(np.max(np.abs(au + b))), 0.5 * float(u @ au) + float(b @ u) + c
+
+
+class TestNestedStart:
+    """A cold solve on a grid with both sides odd and above 65 starts from its
+    coarse problem's prolonged flow."""
+
+    @given(
+        height=st.integers(3, 40),
+        width=st.integers(3, 40),
+        coeffs=st.lists(st.integers(-1000, 1000), min_size=8, max_size=8),
+        counts=st.lists(st.integers(0, 500), max_size=3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_prolongation_exact_on_bilinear_fields(self, height, width, coeffs, counts):
+        # integer coefficients keep every sample and midpoint exact in floats
+        fine = GridSpec(2 * width - 1, 2 * height - 1)
+        rows, cols = np.indices(fine.shape)
+        exact = np.stack([a + b * rows + c * cols + d * rows * cols
+                          for a, b, c, d in (coeffs[:4], coeffs[4:])]).astype(float)
+        coarse = VectorField.from_arrays(
+            GridSpec(width, height, h=2.0), exact[0, ::2, ::2], exact[1, ::2, ::2]
+        )
+        *levels, last = counts or [0]
+        report = SolverReport(method="cg", converged=True, iterations=last, energy_initial=0.0,
+                              energy_final=0.0, grad_inf_norm=0.0, coarse_iterations=tuple(levels))
+        u, coarse_iterations = solver._prolong(coarse, report)
+        assert same_bits(u, exact)
+        assert coarse_iterations == tuple(counts or [0])
+
+    @pytest.mark.parametrize("surface", ["flat", "curved", "evolving"])
+    def test_coarsening_samples_every_other_point(self, surface):
+        rng = np.random.default_rng(7)
+        prob = drawn_problem(129, 131, surface, rng)
+        names = ["sqrt_detg"] + [f"gamma{i}_{jk}" for i in (1, 2) for jk in ("11", "12", "22")]
+        fields = [(prob, n) for n in ("fx1", "fx2", "ft")] + [(prob.geom, n) for n in names]
+        before = [getattr(owner, n).values.copy() for owner, n in fields]
+        coarse = solver._coarsen(prob)
+        spec = prob.spec
+        assert coarse.spec == GridSpec(66, 65, h=2.0 * spec.h, dt=spec.dt)
+        assert coarse.alpha == prob.alpha
+        for (owner, name), values in zip(fields, before):
+            mine = getattr(coarse if owner is prob else coarse.geom, name).values
+            assert same_bits(mine, values[::2, ::2])
+            assert same_bits(getattr(owner, name).values, values)
+        assert np.all(coarse.geom.zt.values == 0.0) and not coarse.geom.evolving
+
+    @pytest.mark.parametrize("height, width", [(129, 129), (129, 131)])
+    @pytest.mark.parametrize("surface", ["flat", "curved", "evolving"])
+    def test_converges_to_the_cold_minimum(self, height, width, surface):
+        rng = np.random.default_rng(height + width)
+        prob = drawn_problem(height, width, surface, rng)
+        config = SolverConfig(method="cg", tol=1e-6)
+        flow, report = solve(prob, config)
+        _, cold = solve(prob, config, u0=VectorField.zeros(prob.spec))
+        assert report.converged and report.grad_inf_norm <= config.tol
+        assert report.coarse_iterations and cold.coarse_iterations == ()
+        assert abs(report.energy_final - cold.energy_final) <= 1e-6 * abs(cold.energy_final)
+        # the oracle reads the same gradient and energy at the returned flow, to rounding
+        gradient, value = oracle_gradient_and_energy(prob, flow)
+        assert abs(gradient - report.grad_inf_norm) <= 1e-12 * max(1.0, gradient)
+        assert abs(value - report.energy_final) <= 1e-12 * abs(value)
+
+    @pytest.mark.parametrize("method, setup, per_iter", [("sor", 1 + 20, 0), ("cg", 1 + 6, 1)])
+    @pytest.mark.parametrize(
+        "height, width, given", [(129, 130, False), (65, 65, False), (65, 129, False), (129, 129, True)]
+    )
+    def test_no_nested_start(self, monkeypatch, method, setup, per_iter, height, width, given):
+        # an even side, a side of 65 or less, or a given u0: one level, and
+        # test_apply_budget's count
+        calls = counted_applies(monkeypatch)
+        rng = np.random.default_rng(3)
+        prob = drawn_problem(height, width, "curved", rng)
+        u0 = random_vector_field(prob.spec, rng) if given else None
+        _, report = solve(prob, SolverConfig(method=method, tol=1e-300, max_iter=3), u0=u0)
+        assert report.coarse_iterations == () and report.iterations == 3
+        assert len(calls) == setup + per_iter * 3 + 1
+
+    @pytest.mark.parametrize("method, setup, per_iter", [("sor", 1 + 20, 0), ("cg", 1 + 6, 1)])
+    @pytest.mark.parametrize(
+        "height, width, levels", [(67, 67, 2), (129, 131, 2), (257, 257, 3)]
+    )
+    def test_apply_budget_sums_the_levels(self, monkeypatch, method, setup, per_iter,
+                                          height, width, levels):
+        calls = counted_applies(monkeypatch)
+        prob = drawn_problem(height, width, "evolving", np.random.default_rng(5))
+        _, report = solve(prob, SolverConfig(method=method, tol=1e-300, max_iter=3))
+        counts = report.coarse_iterations + (report.iterations,)
+        assert counts == (3,) * levels
+        assert len(calls) == sum(setup + per_iter * k + 1 for k in counts)
+
+    @pytest.mark.parametrize("method", ["sor", "cg"])
+    def test_bitwise_repeatable(self, method):
+        prob = drawn_problem(129, 131, "curved", np.random.default_rng(11))
+        config = SolverConfig(method=method, tol=1e-6)
+        flow_a, report_a = solve(prob, config)
+        flow_b, report_b = solve(prob, config)
+        assert report_a.coarse_iterations
+        assert same_bits(flow_a.u1.values, flow_b.u1.values)
+        assert same_bits(flow_a.u2.values, flow_b.u2.values)
+        assert report_a == report_b
 
 
 class TestSteepSurfaces:
