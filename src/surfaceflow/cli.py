@@ -36,7 +36,7 @@ from .io import (
 )
 # energy and energy_gradient stay bound here: perfbench/tracing.py wraps them by name
 from .model import FlowProblem, _gradient_arrays, energy, energy_gradient, problem_from_frames
-from .solver import METHOD_ALIASES, SolverConfig, _max_norm, solve
+from .solver import METHODS, OMEGA, SolverConfig, _max_norm, solve
 from .synth import SCENE_NAMES, make_scene, render
 
 __all__ = ["main", "run", "endpoint_error", "angular_error_deg"]
@@ -115,10 +115,7 @@ def _parser() -> argparse.ArgumentParser:
             "--frame-b", type=int, default=None, help="second frame index j (default i+1)"
         )
         p.add_argument("--alpha", type=_positive_float, default=FlowProblem.alpha)
-    p_flow.add_argument(
-        "--method", default=SolverConfig.method, type=str.lower, choices=tuple(METHOD_ALIASES)
-    )
-    p_flow.add_argument("--omega", type=float, default=SolverConfig.omega)
+    p_flow.add_argument("--method", default=SolverConfig.method, choices=METHODS)
     p_flow.add_argument("--tol", type=_positive_float, default=SolverConfig.tol)
     p_flow.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
     p_flow.add_argument("--out", required=True, help="output directory")
@@ -191,7 +188,6 @@ def cmd_synth(args) -> int:
         write_flow(out / f"truth_{k:04d}_{k + 1:04d}.flo", truth[k])
 
     manifest = Manifest(
-        version=1,
         spec=scene.spec,
         frame_paths=tuple(frame_paths),
         height_paths=tuple(height_paths),
@@ -229,9 +225,7 @@ def _load_problem(args):
 
 def cmd_flow(args) -> int:
     manifest, problem, i, j = _load_problem(args)
-    config = SolverConfig(
-        method=args.method, omega=args.omega, tol=args.tol, max_iter=args.max_iter
-    )
+    config = SolverConfig(method=args.method, tol=args.tol, max_iter=args.max_iter)
     flow, report = solve(problem, config)
 
     out = Path(args.out)
@@ -252,7 +246,7 @@ def cmd_flow(args) -> int:
             "dt": spec.dt,
             "alpha": float(args.alpha),
             "method": report.method,
-            "omega": float(args.omega),
+            "omega": OMEGA,
             "tol": float(args.tol),
             "max_iter": args.max_iter,
             "iterations": report.iterations,

@@ -27,9 +27,8 @@ class SurfaceGeometry:
     """Area element and Christoffel symbols of the graph surface at a fixed time.
 
     ``gamma{i}_{j}{k}`` is G^i_jk, stored once per symmetric lower pair
-    (j <= k).  ``zt`` is the height rate (d/dt z) between the frame pair;
-    ``evolving`` records whether a second height frame was supplied (a static
-    build keeps zt = 0).
+    (j <= k).  ``zt`` is the height rate (d/dt z) between the frame pair,
+    zero for a static build.
     """
 
     spec: GridSpec
@@ -41,7 +40,6 @@ class SurfaceGeometry:
     gamma2_12: ScalarField
     gamma2_22: ScalarField
     zt: ScalarField
-    evolving: bool
 
 
 def build_geometry(
@@ -76,7 +74,6 @@ def build_geometry(
         gamma2_12=wrap(a2 * z12 / detg),
         gamma2_22=wrap(a2 * z22 / detg),
         zt=zt,
-        evolving=z_next is not None,
     )
 
 

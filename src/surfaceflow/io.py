@@ -67,7 +67,6 @@ class Manifest:
     resolved against ``base_dir`` when loading.
     """
 
-    version: int
     spec: GridSpec
     frame_paths: tuple[str, ...]
     height_paths: tuple[str, ...]
@@ -75,8 +74,6 @@ class Manifest:
     base_dir: Path = Path(".")
 
     def __post_init__(self) -> None:
-        if self.version < 1:
-            raise ManifestError(f"version must be >= 1, got {self.version}")
         if not self.frame_paths:
             raise ManifestError("manifest lists no frames")
         if len(self.height_paths) not in (1, len(self.frame_paths)):
@@ -100,7 +97,7 @@ class Manifest:
 
 def write_manifest(path, manifest: Manifest) -> None:
     lines = [
-        "version " + str(manifest.version),
+        "version 1",
         "width " + str(manifest.spec.width),
         "height " + str(manifest.spec.height),
         "h " + repr(manifest.spec.h),
@@ -143,8 +140,9 @@ def read_manifest(path) -> Manifest:
     missing = [k for k in ("version", "width", "height", "h", "dt") if k not in scalars]
     if missing:
         raise ManifestError(f"{path}: missing keys: {', '.join(missing)}")
+    if scalars["version"] != "1":
+        raise ManifestError(f"{path}: version must be 1, got {scalars['version']!r}")
     try:
-        version = int(scalars["version"])
         spec = GridSpec(
             width=int(scalars["width"]),
             height=int(scalars["height"]),
@@ -165,7 +163,6 @@ def read_manifest(path) -> Manifest:
     except ValueError as exc:
         raise ManifestError(f"{path}: {exc}") from exc
     manifest = Manifest(
-        version=version,
         spec=spec,
         frame_paths=tuple(frames),
         height_paths=tuple(heights),

@@ -24,19 +24,20 @@ diagonal blocks are the offset-0 slice.
 Block SOR sweeps a 16-coloring of the grid, (row mod 4, col mod 4).  Same-
 color unknowns never interact, so the color's principal submatrix is exactly
 the per-point 2x2 diagonal blocks, and each exact block update changes the
-energy by -omega*(1 - omega/2) * g^T A_BB^{-1} g <= 0 for omega in (0, 2).
-That makes every sweep monotone in exact arithmetic, which red-black
-coloring would not be here (the wide second-difference composition couples
-same-parity neighbours).  The stencil, b and the inverted blocks are stored
-color by color, so a color's residual b + sum c * u on its own points is one
-gather of the flow (padded by two zeros) and one sum, and a sweep's stopping
-residual is the same sum over the whole grid.  SOR takes b = g - sum c * u
-from its stencil and the starting gradient g, which is g itself from a zero
-start.  CG keeps the matrix-free apply and takes its preconditioner blocks
-from the diagonal probe.  The inverted blocks are a stacked diagonal
-(i11, i22) and an off-diagonal i12, and ``_block_solve`` alone applies them,
-as SOR's color update and as CG's block Jacobi preconditioner.  CG updates
-its vectors in place, through one scratch array.
+energy by -omega*(1 - omega/2) * g^T A_BB^{-1} g <= 0 for omega in (0, 2), and
+``OMEGA`` fixes omega at 1.9.  That makes every sweep monotone in exact
+arithmetic, which red-black coloring would not be here (the wide
+second-difference composition couples same-parity neighbours).  The stencil, b
+and the inverted blocks are stored color by color, so a color's residual b +
+sum c * u on its own points is one gather of the flow (padded by two zeros)
+and one sum, and a sweep's stopping residual is the same sum over the whole
+grid.  SOR takes b = g - sum c * u from its stencil and the starting gradient
+g, which is g itself from a zero start.  CG keeps the matrix-free apply and
+takes its preconditioner blocks from the diagonal probe.  The inverted blocks
+are a stacked diagonal (i11, i22) and an off-diagonal i12, and
+``_block_solve`` alone applies them, as SOR's color update and as CG's block
+Jacobi preconditioner.  CG updates its vectors in place, through one scratch
+array.
 
 Every two-component array, the flow as well as gradients, residuals and
 Krylov vectors, is one (2, height, width) array, component first.  ``solve``
@@ -66,7 +67,7 @@ from __future__ import annotations
 
 import copy
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -74,19 +75,17 @@ from .grid import GridSpec, ScalarField, VectorField
 from .model import FlowProblem, _energy_arrays, _flow_array, _gradient_arrays
 
 __all__ = [
-    "METHOD_ALIASES",
+    "METHODS",
+    "OMEGA",
     "SolverConfig",
     "SolverReport",
     "solve",
 ]
 
-# accepted method spellings (SolverConfig also ignores case) -> canonical name
-METHOD_ALIASES = {
-    "sor": "sor",
-    "successive-over-relaxation": "sor",
-    "cg": "cg",
-    "conjugate-gradient": "cg",
-}
+METHODS = ("cg", "sor")  # matched exactly
+# SOR's relaxation factor: every sweep is monotone for any omega in (0, 2),
+# and 1.9 is the one value used
+OMEGA = 1.9
 
 
 @dataclass(frozen=True)
@@ -99,22 +98,16 @@ class SolverConfig:
     residual with ``converged`` False, or step on rounding noise until the
     energy rises and the report raises ``ValueError``.  A cold solve on a grid
     with both sides odd and above 65 runs this config on each coarse level too.
+    ``method`` is ``cg`` or ``sor``; SOR relaxes by the fixed ``OMEGA`` = 1.9.
     """
 
     method: str = "cg"
-    omega: float = 1.9
     tol: float = 1e-6
     max_iter: int = 50000
 
     def __post_init__(self) -> None:
-        canonical = METHOD_ALIASES.get(self.method.lower())
-        if canonical is None:
-            raise ValueError(
-                f"unknown method {self.method!r}; expected one of {sorted(METHOD_ALIASES)}"
-            )
-        object.__setattr__(self, "method", canonical)
-        if not (0.0 < self.omega < 2.0):
-            raise ValueError(f"omega must lie in (0, 2), got {self.omega}")
+        if self.method not in METHODS:
+            raise ValueError(f"unknown method {self.method!r}; expected one of {list(METHODS)}")
         if not (np.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be positive, got {self.tol}")
         if self.max_iter < 1:
@@ -226,9 +219,8 @@ def _coarsen(problem):
     spec, geom = problem.spec, problem.geom
     coarse = GridSpec((spec.width + 1) // 2, (spec.height + 1) // 2, 2 * spec.h, spec.dt)
     sample = lambda field: ScalarField(coarse, field.values[::2, ::2])
-    names = ("sqrt_detg",) + tuple(f"gamma{i}_{jk}" for i in (1, 2) for jk in ("11", "12", "22"))
-    fields = {name: sample(getattr(geom, name)) for name in names}
-    geom = replace(geom, spec=coarse, zt=ScalarField.zeros(coarse), evolving=False, **fields)
+    sampled = {f.name: sample(getattr(geom, f.name)) for f in fields(geom) if f.name != "spec"}
+    geom = replace(geom, spec=coarse, **sampled)
     data = (sample(field) for field in (problem.fx1, problem.fx2, problem.ft))
     return FlowProblem(geom, *data, problem.alpha)
 
@@ -321,7 +313,7 @@ def _sor_steps(homogeneous, config, g, u):
     height, width = homogeneous.spec.shape
     flow = np.zeros((2, height + 4, width + 4))
     flow[:, 2:-2, 2:-2] = u
-    omega = config.omega
+    omega = OMEGA
 
     # the points color by color, each color row-major, for the coefficients
     # (permuted in place), b = g - A u, the inverted blocks and idx, the flat

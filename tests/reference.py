@@ -521,7 +521,7 @@ def full_apply_sor(problem: FlowProblem, config: SolverConfig, u1: np.ndarray, u
     returns (converged, sweeps, u1, u2, gradient max-norm)."""
     (i11, i22), i12 = _inverse_blocks(_probe(_homogeneous(problem), _STENCIL[:1])[0])
     g1, g2 = _gradient_arrays(problem, np.stack((u1, u2)))
-    omega = config.omega
+    omega = 1.9  # the solver's relaxation factor, stated here on its own
     converged = False
     res = np.inf
     for sweeps in range(1, config.max_iter + 1):

@@ -365,7 +365,7 @@ def test_9_sor_never_increases_energy():
     )
     flow, report = solve(
         prob,
-        SolverConfig(method="sor", omega=1.9, tol=1e-30, max_iter=1000),
+        SolverConfig(method="sor", tol=1e-30, max_iter=1000),
         track_energy=True,
     )
     trace = np.asarray(report.energy_trace)

@@ -30,7 +30,7 @@ from surfaceflow.io import (
     write_ppm,
 )
 from surfaceflow.model import FlowProblem, energy, energy_gradient, problem_from_frames
-from surfaceflow.solver import METHOD_ALIASES, SolverConfig, solve
+from surfaceflow.solver import METHODS, SolverConfig, solve
 from surfaceflow.synth import Translation, make_scene
 
 
@@ -200,10 +200,7 @@ class TestFlowCommand:
         assert (out / "flow_0000_0001.flo").is_file()
         assert (out / "report_0000_0001.txt").is_file()
 
-    # case is folded before the alias lookup, as SolverConfig does
-    @pytest.mark.parametrize(
-        "method", sorted(METHOD_ALIASES) + [name.upper() for name in sorted(METHOD_ALIASES)]
-    )
+    @pytest.mark.parametrize("method", METHODS)
     def test_every_method_spelling_accepted(self, tmp_path, capsys, translation_dir, method):
         code, report = run_cli(
             capsys,
@@ -216,7 +213,59 @@ class TestFlowCommand:
             method,
         )
         assert code == 0
-        assert report["method"] == METHOD_ALIASES[method.lower()]
+        assert report["method"] == method
+
+    def test_method_names_matched_exactly(self, tmp_path, capsys, translation_dir):
+        out = tmp_path / "x"
+        manifest = str(translation_dir / "manifest.txt")
+        code = main(["flow", "--manifest", manifest, "--out", str(out), "--method", "CG"])
+        assert code == 2
+        assert "invalid choice: 'CG'" in capsys.readouterr().err
+        assert not out.exists()
+
+    # the key=value lines are the report format: every key, in order
+    @pytest.mark.parametrize("method", ["sor", "cg"])
+    def test_report_keys_in_order(self, tmp_path, capsys, translation_dir, method):
+        out = tmp_path / "run"
+        code, report = run_cli(
+            capsys,
+            "flow",
+            "--manifest",
+            str(translation_dir / "manifest.txt"),
+            "--out",
+            str(out),
+            "--method",
+            method,
+        )
+        assert code == 0
+        lines = (out / "report_0000_0001.txt").read_text().splitlines()
+        assert [line.partition("=")[0] for line in lines] == [
+            "frame_a",
+            "frame_b",
+            "width",
+            "height",
+            "h",
+            "dt",
+            "alpha",
+            "method",
+            "omega",
+            "tol",
+            "max_iter",
+            "iterations",
+            "converged",
+            "energy_initial",
+            "energy_final",
+            "grad_inf_norm",
+            "flow_file",
+        ]
+        assert report["method"] == method and report["omega"] == "1.9"
+
+    def test_manifest_version_2_is_io_error(self, tmp_path, capsys, translation_dir):
+        manifest = translation_dir / "manifest.txt"
+        manifest.write_text(manifest.read_text().replace("version 1\n", "version 2\n"))
+        code = main(["flow", "--manifest", str(manifest), "--out", str(tmp_path / "x")])
+        assert code == 4
+        assert capsys.readouterr().err == f"error: {manifest}: version must be 1, got '2'\n"
 
     def test_alpha_zero_rejected_at_parsing(self, tmp_path, capsys, translation_dir):
         code = main(
@@ -248,9 +297,9 @@ class TestFlowCommand:
         capsys.readouterr()
         assert code == 2
 
-    # neither a removed flag (--h) nor the prefix of a present one may be
-    # read as a flag it abbreviates
-    @pytest.mark.parametrize("flag, value", [("--h", "0.5"), ("--meth", "cg")])
+    # neither a removed flag (--h, --omega) nor the prefix of a present one may
+    # be read as a flag it abbreviates
+    @pytest.mark.parametrize("flag, value", [("--h", "0.5"), ("--meth", "cg"), ("--omega", "1.5")])
     def test_flag_prefix_is_usage_error(self, tmp_path, capsys, translation_dir, flag, value):
         out = tmp_path / "x"
         manifest = str(translation_dir / "manifest.txt")
@@ -695,7 +744,7 @@ class TestParserDefaults:
     def test_defaults_are_the_library_defaults(self):
         parse = surfaceflow.cli._parser().parse_args
         flow = parse(["flow", "--manifest", "m", "--out", "o"])
-        assert (flow.method, flow.omega, flow.tol, flow.max_iter) == dataclasses.astuple(
+        assert (flow.method, flow.tol, flow.max_iter) == dataclasses.astuple(
             SolverConfig()
         )
         energy_args = parse(["energy", "--manifest", "m", "--flow", "f"])

@@ -80,7 +80,12 @@ def test_geometry_holds_only_what_the_energy_reads():
         "gamma2_12",
         "gamma2_22",
         "zt",
-        "evolving",
     ]
     methods = vars(surfaceflow.SurfaceGeometry).items()
     assert [k for k, v in methods if callable(v) and not k.startswith("__")] == []
+
+
+def test_solver_config_holds_only_what_a_caller_sets():
+    # SOR's relaxation factor is the module constant solver.OMEGA
+    names = [f.name for f in dataclasses.fields(surfaceflow.SolverConfig)]
+    assert names == ["method", "tol", "max_iter"]

@@ -48,7 +48,6 @@ class TestFlatGeometry:
         assert np.all(geom.zt.values == 0.0)
         for i, j, k in [(1, 1, 1), (1, 1, 2), (1, 2, 2), (2, 1, 1), (2, 1, 2), (2, 2, 2)]:
             assert np.all(getattr(geom, f"gamma{i}_{j}{k}").values == 0.0)
-        assert not geom.evolving
 
     def test_flat_geometry_helper(self):
         spec = GridSpec(4, 4)

@@ -174,7 +174,6 @@ class TestManifest:
         write_fields(tmp_path, frames, spec)
         write_fields(tmp_path, heights, spec, value=0.0)
         manifest = Manifest(
-            version=1,
             spec=spec,
             frame_paths=tuple(frames),
             height_paths=tuple(heights),
@@ -186,7 +185,7 @@ class TestManifest:
     def test_round_trip(self, tmp_path):
         manifest = self.make_manifest(tmp_path, frame_count=3, height_count=3)
         loaded = read_manifest(tmp_path / "manifest.txt")
-        assert loaded.version == manifest.version
+        assert (tmp_path / "manifest.txt").read_text().startswith("version 1\n")
         assert loaded.spec == manifest.spec
         assert loaded.frame_paths == manifest.frame_paths
         assert loaded.height_paths == manifest.height_paths
@@ -229,7 +228,15 @@ class TestManifest:
         self.make_manifest(tmp_path)
         path = tmp_path / "manifest.txt"
         path.write_text("# generated\n\n" + path.read_text())
-        assert read_manifest(path).version == 1
+        assert read_manifest(path).frame_count == 2
+
+    @pytest.mark.parametrize("version", ["0", "2"])
+    def test_version_other_than_1_rejected(self, tmp_path, version):
+        self.make_manifest(tmp_path)
+        path = tmp_path / "manifest.txt"
+        path.write_text(path.read_text().replace("version 1\n", f"version {version}\n"))
+        with pytest.raises(ManifestError, match=f"manifest.txt: version must be 1, got '{version}'"):
+            read_manifest(path)
 
     def test_invalid_intensity_range(self):
         spec = GridSpec(4, 4)
@@ -239,7 +246,6 @@ class TestManifest:
                 warnings.simplefilter("error")
                 with pytest.raises(ManifestError, match="intensity_range"):
                     Manifest(
-                        version=1,
                         spec=spec,
                         frame_paths=("a.pfm",),
                         height_paths=("b.pfm",),
@@ -250,7 +256,6 @@ class TestManifest:
         spec = GridSpec(4, 4)
         with pytest.raises(ValueError):
             Manifest(
-                version=1,
                 spec=spec,
                 frame_paths=("a.pfm", "b.pfm", "c.pfm"),
                 height_paths=("h0.pfm", "h1.pfm"),
@@ -262,7 +267,6 @@ class TestLoadSequence:
         spec = GridSpec(512, 512)
         write_fields(tmp_path, ["f0.pfm", "f1.pfm", "z.pfm"], spec)
         manifest = Manifest(
-            version=1,
             spec=spec,
             frame_paths=("f0.pfm", "f1.pfm"),
             height_paths=("z.pfm",),
@@ -278,7 +282,6 @@ class TestLoadSequence:
         write_fields(tmp_path, frame_names, spec)
         write_fields(tmp_path, ["z.pfm"], spec, value=0.75)
         manifest = Manifest(
-            version=1,
             spec=spec,
             frame_paths=tuple(frame_names),
             height_paths=("z.pfm",),
@@ -293,7 +296,6 @@ class TestLoadSequence:
         write_fields(tmp_path, ["good.pfm"], spec)
         write_fields(tmp_path, ["short.pfm"], GridSpec(4, 4))
         manifest = Manifest(
-            version=1,
             spec=spec,
             frame_paths=("good.pfm", "short.pfm"),
             height_paths=("good.pfm",),
@@ -306,7 +308,6 @@ class TestLoadSequence:
         spec = GridSpec(4, 4)
         write_fields(tmp_path, ["f.pfm", "z.pfm"], spec, value=0.25)
         manifest = Manifest(
-            version=1,
             spec=spec,
             frame_paths=("f.pfm", "f.pfm"),
             height_paths=("z.pfm",),
@@ -323,7 +324,6 @@ class TestLoadSequence:
         write_fields(tmp_path, ["f0.pfm", "z.pfm"], spec)
         write_fields(tmp_path, ["f1.pfm"], spec, value=1e30)
         manifest = Manifest(
-            version=1,
             spec=spec,
             frame_paths=("f0.pfm", "f1.pfm"),
             height_paths=("z.pfm",),
@@ -341,7 +341,6 @@ class TestLoadSequence:
         write_float_image(tmp_path / "f.pfm", raw)
         write_fields(tmp_path, ["z.pfm"], spec)
         manifest = Manifest(
-            version=1,
             spec=spec,
             frame_paths=("f.pfm", "f.pfm"),
             height_paths=("z.pfm",),

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -57,25 +58,18 @@ class TestSolverConfig:
     def test_defaults(self):
         config = SolverConfig()
         assert config.method == "cg"
-        assert config.omega == 1.9
+        assert solver.OMEGA == 1.9
         assert config.tol == 1e-6
         assert config.max_iter == 50000
-
-    @pytest.mark.parametrize("name", ["sor", "successive-over-relaxation"])
-    def test_sor_aliases(self, name):
-        assert SolverConfig(method=name).method == "sor"
-
-    @pytest.mark.parametrize("name", ["cg", "conjugate-gradient"])
-    def test_cg_aliases(self, name):
-        assert SolverConfig(method=name).method == "cg"
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             dict(method="jacobi"),
-            dict(omega=0.0),
-            dict(omega=2.0),
-            dict(omega=-0.5),
+            # method names are matched exactly
+            dict(method="conjugate-gradient"),
+            dict(method="successive-over-relaxation"),
+            dict(method="CG"),
             dict(tol=0.0),
             dict(tol=-1e-6),
             dict(max_iter=0),
@@ -764,7 +758,7 @@ class TestNestedStart:
     def test_coarsening_samples_every_other_point(self, surface):
         rng = np.random.default_rng(7)
         prob = drawn_problem(129, 131, surface, rng)
-        names = ["sqrt_detg"] + [f"gamma{i}_{jk}" for i in (1, 2) for jk in ("11", "12", "22")]
+        names = [f.name for f in dataclasses.fields(prob.geom) if f.name != "spec"]
         fields = [(prob, n) for n in ("fx1", "fx2", "ft")] + [(prob.geom, n) for n in names]
         before = [getattr(owner, n).values.copy() for owner, n in fields]
         coarse = solver._coarsen(prob)
@@ -775,7 +769,6 @@ class TestNestedStart:
             mine = getattr(coarse if owner is prob else coarse.geom, name).values
             assert same_bits(mine, values[::2, ::2])
             assert same_bits(getattr(owner, name).values, values)
-        assert np.all(coarse.geom.zt.values == 0.0) and not coarse.geom.evolving
 
     @pytest.mark.parametrize("height, width", [(129, 129), (129, 131)])
     @pytest.mark.parametrize("surface", ["flat", "curved", "evolving"])
