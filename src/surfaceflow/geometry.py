@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridSpec, ScalarField, diff_t, diff_x1_array, diff_x2_array, hessian
+from .grid import GridSpec, ScalarField, diff2_x2_array, diff_t, diff_x1_array, diff_x2_array
 
 __all__ = ["SurfaceGeometry", "build_geometry", "flat_geometry"]
 
@@ -57,7 +57,8 @@ def build_geometry(
     spec = z.spec
     a1 = diff_x1_array(z.values, spec.h)
     a2 = diff_x2_array(z.values, spec.h)
-    z11, z12, z22 = (d.values for d in hessian(z))
+    z11 = diff2_x2_array(z.values.swapaxes(-1, -2), spec.h).swapaxes(-1, -2)
+    z12, z22 = diff_x2_array(a1, spec.h), diff2_x2_array(z.values, spec.h)
 
     # graph identity det g = 1 + |grad z|^2; guarantees det g >= 1 exactly
     detg = 1.0 + a1 * a1 + a2 * a2

@@ -9,15 +9,17 @@ Interior derivatives use the symmetric three-point stencil
 first-order one-sided differences so every operation stays local.  The
 adjoint (transpose) of each difference operator is provided as well, which
 is what makes exact gradients of quadratic grid functionals possible.  Each
-stencil is written once, along axis -2, and differentiates any stack of
-fields held on leading axes in one call; the x1 versions apply it with the
-last two axes swapped.  Each adjoint is gathered row by row into its output,
-with the same sums, in the same order, as scattering the stencil's terms into
-a zero-filled array.
+stencil, the second difference ``(v[i+1] - 2 v[i] + v[i-1]) / h^2`` included
+(its boundary rows repeat the nearest interior one), is written once, along
+axis -2, and differentiates any stack of fields held on leading axes in one
+call; the x1 versions apply it with the last two axes swapped.  Each adjoint
+is gathered row by row into its output, with the same sums, in the same
+order, as scattering the stencil's terms into a zero-filled array.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -30,7 +32,6 @@ __all__ = [
     "diff_x1",
     "diff_x2",
     "diff_t",
-    "hessian",
     "coordinate_arrays",
 ]
 
@@ -45,7 +46,7 @@ class GridSpec:
     dt: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.width < 3 or self.height < 3:
+        if _index("width", self.width) < 3 or _index("height", self.height) < 3:
             raise ValueError(
                 f"grid must be at least 3x3 for central differences, "
                 f"got {self.width}x{self.height}"
@@ -61,6 +62,14 @@ class GridSpec:
     def shape(self) -> tuple[int, int]:
         """Array shape ``(height, width)``."""
         return (self.height, self.width)
+
+
+def _index(name: str, value) -> int:
+    """``operator.index(value)``, so numpy ints pass; ``ValueError`` naming ``name`` if not."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def coordinate_arrays(
@@ -182,14 +191,14 @@ def diff_x2_adjoint_array(s: np.ndarray, h: float, out: np.ndarray | None = None
     return out
 
 
-def _diff2_x2_array(values: np.ndarray, h: float) -> np.ndarray:
-    """d^2/dx2^2 (along axis 0), central interior."""
+def diff2_x2_array(values: np.ndarray, h: float) -> np.ndarray:
+    """d^2/dx2^2 (along axis -2, leading axes being separate fields), central interior."""
     out = np.empty_like(values)
     h2 = h * h
-    out[1:-1, :] = (values[2:, :] - 2.0 * values[1:-1, :] + values[:-2, :]) / h2
+    out[..., 1:-1, :] = (values[..., 2:, :] - 2.0 * values[..., 1:-1, :] + values[..., :-2, :]) / h2
     # boundary rows reuse the nearest interior 3-point stencil
-    out[0, :] = (values[2, :] - 2.0 * values[1, :] + values[0, :]) / h2
-    out[-1, :] = (values[-1, :] - 2.0 * values[-2, :] + values[-3, :]) / h2
+    out[..., 0, :] = (values[..., 2, :] - 2.0 * values[..., 1, :] + values[..., 0, :]) / h2
+    out[..., -1, :] = (values[..., -1, :] - 2.0 * values[..., -2, :] + values[..., -3, :]) / h2
     return out
 
 
@@ -232,12 +241,3 @@ def diff_t(frame_a: ScalarField, frame_b: ScalarField, dt: float | None = None) 
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
     return ScalarField(frame_a.spec, (frame_b.values - frame_a.values) / dt)
-
-
-def hessian(field: ScalarField) -> tuple[ScalarField, ScalarField, ScalarField]:
-    """Second central differences (d11, d12, d22); d12 = diff_x2(diff_x1(.))
-    also stands for d21."""
-    h = field.spec.h
-    d11 = ScalarField(field.spec, _diff2_x2_array(field.values.T, h).T)
-    d22 = ScalarField(field.spec, _diff2_x2_array(field.values, h))
-    return d11, diff_x2(diff_x1(field)), d22

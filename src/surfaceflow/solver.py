@@ -14,12 +14,12 @@ components at one point, so A is a 9-offset "plus" stencil with 2x2 blocks:
 (A u)_i(q) = sum over d of c[d, i, k](q) u_k(q + d), for d in (0, 0),
 (0, +-1), (0, +-2), (+-1, 0) and (+-2, 0).  Applying A to the indicator
 fields of a coloring reads the coefficients off exactly (column grouping,
-after Curtis, Powell & Reid, 1974) once each wanted offset of a grid point is
-the only stencil point in its color.  The lattice colorings (row + k col)
-mod m of Goldfarb & Toint (1984) need fewest: m = 3, k = 1 for the diagonal
-(6 applies), m = 10, k = 3 for the whole stencil (20 applies).  D sits at
-offset 0 alone, so the other offsets are R's bitwise.  The inverted 2x2
-diagonal blocks are the offset-0 slice.
+after Curtis, Powell & Reid, 1974), one masked copy of the apply per offset,
+once each wanted offset of a grid point is the only stencil point in its
+color.  The lattice colorings (row + k col) mod m of Goldfarb & Toint (1984)
+need fewest: m = 3, k = 1 for the diagonal (6 applies), m = 10, k = 3 for the
+whole stencil (20 applies).  D sits at offset 0 alone, so the other offsets
+are R's bitwise.  The inverted 2x2 diagonal blocks are the offset-0 slice.
 
 Block SOR sweeps a 16-coloring of the grid, (row mod 4, col mod 4).  Same-
 color unknowns never interact, so the color's principal submatrix is exactly
@@ -71,7 +71,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .grid import GridSpec, ScalarField, VectorField
+from .grid import GridSpec, ScalarField, VectorField, _index
 from .model import FlowProblem, _energy_arrays, _flow_array, _gradient_arrays
 
 __all__ = [
@@ -110,7 +110,7 @@ class SolverConfig:
             raise ValueError(f"unknown method {self.method!r}; expected one of {list(METHODS)}")
         if not (np.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.max_iter < 1:
+        if _index("max_iter", self.max_iter) < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
 
 
@@ -190,7 +190,7 @@ def solve(
         steps = _sor_steps if config.method == "sor" else _cg_steps
         # unnamed, the generator and its buffers are freed when the loop ends
         for iterations, res in enumerate(
-            itertools.islice(steps(_homogeneous(problem), config, g, u), config.max_iter), 1
+            itertools.islice(steps(_homogeneous(problem), g, u), config.max_iter), 1
         ):
             if track_energy:
                 trace.append(_energy_arrays(problem, u))
@@ -268,22 +268,20 @@ def _probe(homogeneous, offsets):
     energy gradient is A itself; the full problem's would add b to every
     offset.  Returns c of shape (len(offsets), 2, 2, height, width) with
     (A u)_i(q) = sum over d of c[d, i, k](q) u_k(q + d); c[d] is zero where
-    q + d leaves the grid.  Each of the 2 m applies of the ``_lattice``
-    coloring yields c[d] on the points q whose q + d carries the probed color.
+    q + d leaves the grid.  Each of the 2 m applies of the ``_lattice`` coloring,
+    whose color grid is built once as bytes (m <= 10), yields c[d] by one masked
+    copy on the points q whose q + d has the applied color: each point once.
     """
     m, k = _lattice(offsets)
     shape = homogeneous.spec.shape
+    color = (np.add.outer(np.arange(shape[0]), k * np.arange(shape[1])) % m).astype(np.uint8)
     coeffs = np.empty((len(offsets), 2, 2) + shape)
     for a, j in itertools.product(range(m), range(2)):
-        # color a holds the rows (a - k s) mod m of each column class s mod m
         e = np.zeros((2,) + shape)
-        for s in range(m):
-            e[j, (a - k * s) % m :: m, s::m] = 1.0
+        e[j] = color == a
         y = _gradient_arrays(homogeneous, e)
         for n, (dr, dc) in enumerate(offsets):
-            for s in range(m):
-                rows = slice((a - dr - k * (s + dc)) % m, None, m)
-                coeffs[n, :, j, rows, s::m] = y[:, rows, s::m]
+            np.copyto(coeffs[n, :, j], y, where=color == (a - dr - k * dc) % m)
     return coeffs
 
 
@@ -306,30 +304,30 @@ def _block_solve(diagonal, off_diagonal, r, out=None, work=None):
     return np.add(np.multiply(diagonal, r, out=out), cross, out=out)
 
 
-def _sor_steps(homogeneous, config, g, u):
+def _sor_steps(homogeneous, g, u):
     """16-color exact block SOR on the probed stencil from the gradient ``g``
     at ``u``; each sweep copies the padded flow's interior into ``u``."""
     coeffs = _probe(homogeneous, _STENCIL)
     height, width = homogeneous.spec.shape
     flow = np.zeros((2, height + 4, width + 4))
     flow[:, 2:-2, 2:-2] = u
-    omega = OMEGA
 
-    # the points color by color, each color row-major, for the coefficients
-    # (permuted in place), b = g - A u, the inverted blocks and idx, the flat
-    # index into a padded flow component of each point's sample at each offset
-    rows, cols = np.indices((height, width)).reshape(2, -1)
-    order = np.argsort(rows % 4 * 4 + cols % 4, kind="stable")
+    # the points color by color, color (a, c) the row-major flat indices of grid[a::4, c::4],
+    # for the coefficients (permuted in place), b = g - A u, the inverted blocks and idx,
+    # the flat index into a padded flow component of each point's sample at each offset
+    grid = np.arange(height * width).reshape(height, width)
+    order = np.concatenate([grid[a::4, c::4].ravel() for a, c in _COLORS])
+    rows, cols = divmod(order, width)
     for part in coeffs.reshape(len(_STENCIL), 4, -1):
         part[...] = part.take(order, axis=1)
     coeffs = coeffs.reshape(len(_STENCIL), 2, 2, -1)
     diagonal, off_diagonal = _inverse_blocks(coeffs[0])
     offset = np.array([dr * (width + 4) + dc for dr, dc in _STENCIL])
-    idx = (rows[order] + 2) * (width + 4) + cols[order] + 2 + offset[:, None]
+    idx = (rows + 2) * (width + 4) + cols + 2 + offset[:, None]
     samples = flow.reshape(2, -1)
     b = g.reshape(2, -1).take(order, axis=1)
     b -= np.einsum("dikn,kdn->in", coeffs, samples.take(idx, axis=1))
-    del rows, cols, order
+    del grid, order, rows, cols
     # per color: its points in the padded flow (a view) and its slice of the rest
     owns = [flow[:, 2 + a : 2 + height : 4, 2 + c : 2 + width : 4] for a, c in _COLORS]
     bounds = np.cumsum([own[0].size for own in owns])[:-1]
@@ -339,12 +337,12 @@ def _sor_steps(homogeneous, config, g, u):
     while True:
         for own, coeff, index, b_color, diagonal_color, off_color in colors:
             residual = b_color + np.einsum("dikn,kdn->in", coeff, samples.take(index, axis=1))
-            own -= omega * _block_solve(diagonal_color, off_color, residual).reshape(own.shape)
+            own -= OMEGA * _block_solve(diagonal_color, off_color, residual).reshape(own.shape)
         u[...] = flow[:, 2:-2, 2:-2]
         yield _max_norm(b + np.einsum("dikn,kdn->in", coeffs, samples.take(idx, axis=1)))
 
 
-def _cg_steps(homogeneous, config, g, u):
+def _cg_steps(homogeneous, g, u):
     """Conjugate gradients on A u = -b from the gradient ``g`` at ``u``,
     preconditioned by the 2x2 blocks; yields the recurrence residual's
     max-norm and ends on a direction of zero curvature.  r, z and p are

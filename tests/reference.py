@@ -3,6 +3,7 @@
 These functions check the package's production path from the outside: the
 graph's tangent frame and metric, which the energy never reads, the general
 Levi-Civita formula against the closed-form graph Christoffel symbols, the
+geometry's fields against the Hessian composition they were built on, the
 moving bump's closed-form height rate and slopes, the pattern's closed-form
 gradient, the motions' closed-form inverse maps, the surface form of the
 optical-flow constraint against the pulled-back residual, the natural
@@ -32,7 +33,9 @@ from surfaceflow.grid import (
     VectorField,
     coordinate_arrays,
     diff_t,
+    diff_x1,
     diff_x1_array,
+    diff_x2,
     diff_x2_array,
 )
 from surfaceflow.io import COLOR_WHEEL, wheel_position
@@ -201,6 +204,53 @@ def christoffel_from_metric(
                 acc += ginv[(m, i)] * (d[(j, k, m)] + d[(k, m, j)] - d[(m, j, k)])
             out[(i, j, k)] = ScalarField(spec, 0.5 * acc)
     return out
+
+
+def termwise_diff2_x2(values: np.ndarray, h: float) -> np.ndarray:
+    """The second x2 difference on one (height, width) array, as the package
+    wrote it before it took leading axes; boundary rows reuse the nearest
+    interior stencil."""
+    out = np.empty_like(values)
+    h2 = h * h
+    out[1:-1, :] = (values[2:, :] - 2.0 * values[1:-1, :] + values[:-2, :]) / h2
+    out[0, :] = (values[2, :] - 2.0 * values[1, :] + values[0, :]) / h2
+    out[-1, :] = (values[-1, :] - 2.0 * values[-2, :] + values[-3, :]) / h2
+    return out
+
+
+def hessian(field: ScalarField) -> tuple[ScalarField, ScalarField, ScalarField]:
+    """Second central differences (d11, d12, d22); d12 = diff_x2(diff_x1(.))
+    also stands for d21.  The package's composition before ``build_geometry``
+    took d12 from its slope; d11 differentiates the transpose."""
+    h = field.spec.h
+    d11 = ScalarField(field.spec, termwise_diff2_x2(field.values.T, h).T)
+    d22 = ScalarField(field.spec, termwise_diff2_x2(field.values, h))
+    return d11, diff_x2(diff_x1(field)), d22
+
+
+def hessian_geometry(
+    z: ScalarField, z_next: ScalarField | None = None, dt: float | None = None
+) -> SurfaceGeometry:
+    """:func:`surfaceflow.geometry.build_geometry` as it was written over
+    :func:`hessian`, against which its fields are checked bit for bit."""
+    spec = z.spec
+    a1 = diff_x1_array(z.values, spec.h)
+    a2 = diff_x2_array(z.values, spec.h)
+    z11, z12, z22 = (d.values for d in hessian(z))
+    detg = 1.0 + a1 * a1 + a2 * a2
+    zt = ScalarField.zeros(spec) if z_next is None else diff_t(z, z_next, dt)
+    wrap = lambda a: ScalarField(spec, a)
+    return SurfaceGeometry(
+        spec=spec,
+        sqrt_detg=wrap(np.sqrt(detg)),
+        gamma1_11=wrap(a1 * z11 / detg),
+        gamma1_12=wrap(a1 * z12 / detg),
+        gamma1_22=wrap(a1 * z22 / detg),
+        gamma2_11=wrap(a2 * z11 / detg),
+        gamma2_12=wrap(a2 * z12 / detg),
+        gamma2_22=wrap(a2 * z22 / detg),
+        zt=zt,
+    )
 
 
 def bump_height_t(surface, x1, x2, t):
@@ -432,7 +482,7 @@ def _christoffel_values(geom: SurfaceGeometry):
     return tuple(getattr(geom, name).values for name in names)
 
 
-def allocating_cg_steps(homogeneous: FlowProblem, config: SolverConfig, g, u):
+def allocating_cg_steps(homogeneous: FlowProblem, g, u):
     """The solver's CG steps with every vector update allocating its result
     and z and p sharing one array until the first direction update: the
     package's loop before it updated in place."""

@@ -1,15 +1,18 @@
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from surfaceflow.grid import GridSpec, ScalarField, VectorField, coordinate_arrays
 from surfaceflow.geometry import build_geometry, flat_geometry
 
-from conftest import random_heights, random_vector_field
+from conftest import random_heights, random_vector_field, same_bits
 from reference import (
     christoffel_from_metric,
     embed_tangent,
+    hessian_geometry,
     surface_frame,
     surface_gradient_coeffs,
     tangent_coords,
@@ -269,6 +272,33 @@ class TestSurfaceVelocity:
         out = tangential_surface_velocity(frame)
         n = unit_normal(frame)
         assert np.max(np.abs(np.sum(out * n, axis=-1))) <= 1e-10
+
+
+class TestHessianReference:
+    @given(
+        height=st.integers(3, 20),
+        width=st.integers(3, 20),
+        h=st.floats(0.01, 100.0),
+        surface=st.sampled_from(["flat", "curved", "evolving"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(height=13, width=10, h=1.0, surface="evolving", seed=0)
+    @example(height=3, width=17, h=0.5, surface="curved", seed=1)
+    @settings(max_examples=60, deadline=None)
+    def test_fields_match_hessian_composition(self, height, width, h, surface, seed):
+        # every field, zt included, is bitwise the one built over the
+        # field-level Hessian, signed zeros included
+        rng = np.random.default_rng(seed)
+        spec = GridSpec(width, height, h=h)
+        if surface == "flat":
+            heights = (ScalarField.zeros(spec), None)
+        else:
+            heights = random_heights(spec, rng, rng.uniform(0.1, 2.0), surface == "evolving")
+        mine, ref = build_geometry(*heights), hessian_geometry(*heights)
+        names = [f.name for f in dataclasses.fields(mine) if f.name != "spec"]
+        assert len(names) == 8
+        for name in names:
+            assert same_bits(getattr(mine, name).values, getattr(ref, name).values), name
 
 
 class TestBuildValidation:

@@ -15,11 +15,18 @@ from surfaceflow.grid import (
     diff_x2,
     diff_x2_adjoint_array,
     diff_x2_array,
-    hessian,
+    diff2_x2_array,
 )
 
 from conftest import same_bits
-from reference import scatter_x1_adjoint, scatter_x2_adjoint, termwise_x1, termwise_x2
+from reference import (
+    hessian,
+    scatter_x1_adjoint,
+    scatter_x2_adjoint,
+    termwise_diff2_x2,
+    termwise_x1,
+    termwise_x2,
+)
 
 
 def field_from(spec, fn, origin=(0.0, 0.0)):
@@ -30,6 +37,8 @@ class TestGridSpec:
     def test_valid(self):
         spec = GridSpec(5, 7, h=0.5, dt=2.0)
         assert spec.width == 5 and spec.height == 7
+        # numpy integers are integers
+        assert GridSpec(np.int64(5), np.int32(7)).shape == (7, 5)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -42,6 +51,8 @@ class TestGridSpec:
             dict(width=5, height=5, h=np.inf),
             dict(width=5, height=5, dt=np.inf),
             dict(width=5, height=5, dt=np.nan),
+            dict(width=5.5, height=5),
+            dict(width=5, height=5.0),
         ],
     )
     def test_invalid(self, kwargs):
@@ -226,6 +237,35 @@ class TestStackedStencils:
             assert np.shares_memory(out, planes)
             assert same_bits(planes[:, 1], per_slice), mine.__name__
             assert np.all(np.isnan(planes[:, 0]))
+
+    @given(
+        height=st.integers(3, 20),
+        width=st.integers(3, 20),
+        h=st.floats(0.01, 100.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(height=13, width=10, h=1.0, seed=0)
+    @example(height=3, width=17, h=0.5, seed=1)
+    @example(height=17, width=3, h=2.0, seed=2)
+    @settings(max_examples=40, deadline=None)
+    def test_second_difference(self, height, width, h, seed):
+        # the stacked second difference on each slice, and on the swapped
+        # axes for x1, is bitwise the one-array stencil on the array and on
+        # its transpose; values as in test_match_one_array_references
+        rng = np.random.default_rng(seed)
+        pool = np.array([0.0, -0.0, 1e-320, -1e-320, 1.0, -1.0])
+        stack = np.where(
+            rng.random((2, height, width)) < 0.5,
+            rng.choice(pool, (2, height, width)),
+            rng.standard_normal((2, height, width)),
+        )
+        x2 = np.stack([termwise_diff2_x2(v, h) for v in stack])
+        x1 = np.stack([termwise_diff2_x2(v.T, h).T for v in stack])
+        assert same_bits(diff2_x2_array(stack, h), x2)
+        assert same_bits(diff2_x2_array(stack.swapaxes(-1, -2), h).swapaxes(-1, -2), x1)
+        for v, ref2, ref1 in zip(stack, x2, x1):
+            assert same_bits(diff2_x2_array(v, h), ref2)
+            assert same_bits(diff2_x2_array(v.swapaxes(-1, -2), h).swapaxes(-1, -2), ref1)
 
 
 class TestDiffT:

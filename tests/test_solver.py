@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -73,6 +73,8 @@ class TestSolverConfig:
             dict(tol=0.0),
             dict(tol=-1e-6),
             dict(max_iter=0),
+            dict(max_iter=2.5),
+            dict(max_iter=10.0),
         ],
     )
     def test_invalid(self, kwargs):
@@ -283,6 +285,12 @@ class TestStencil:
         surface=st.sampled_from(["flat", "curved", "evolving"]),
         seed=st.integers(0, 2**32 - 1),
     )
+    # below m = 10 on both sides some colors are empty; the masked copies must
+    # still write every point of the uninitialised stencil exactly once
+    @example(height=3, width=3, surface="flat", seed=0)
+    @example(height=3, width=17, surface="curved", seed=1)
+    @example(height=17, width=3, surface="evolving", seed=2)
+    @example(height=13, width=10, surface="evolving", seed=3)
     @settings(max_examples=40, deadline=None)
     def test_lattice_probe_matches_square_probe(self, height, width, surface, seed):
         rng = np.random.default_rng(seed)
@@ -309,7 +317,7 @@ class TestStencil:
         prob = random_problem(GridSpec(width, height), rng, curved=True)
         for u in (np.zeros((2,) + prob.spec.shape), rng.standard_normal((2,) + prob.spec.shape)):
             g = _gradient_arrays(prob, u)
-            sweeps = solver._sor_steps(solver._homogeneous(prob), SolverConfig(), g, u)
+            sweeps = solver._sor_steps(solver._homogeneous(prob), g, u)
             for _ in range(6):
                 res = next(sweeps)
                 ref = solver._max_norm(_gradient_arrays(prob, u))
@@ -381,7 +389,7 @@ def cg_run(steps, prob, u0, limit=500, floor=1e-13):
     u = u0.copy()
     g = _gradient_arrays(prob, u)
     residuals = []
-    generator = steps(solver._homogeneous(prob), SolverConfig(method="cg"), g, u)
+    generator = steps(solver._homogeneous(prob), g, u)
     for res in itertools.islice(generator, limit):
         residuals.append(res)
         if res < floor:
