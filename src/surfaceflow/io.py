@@ -237,8 +237,10 @@ def write_float_image(path, values) -> None:
         raise FloatImageError(f"expected a 2-d array, got shape {values.shape}")
     height, width = values.shape
     header = f"Pf\n{width} {height}\n-1.0\n".encode("ascii")
-    payload = np.flipud(values).astype("<f4").tobytes()
-    Path(path).write_bytes(header + payload)
+    payload = np.flipud(values).astype("<f4", order="C")
+    with open(path, "wb") as f:
+        f.write(header)
+        f.write(payload)
 
 
 def read_float_image(path) -> np.ndarray:
@@ -303,7 +305,9 @@ def write_flow(path, u, u2=None) -> None:
     samples[..., 0] = u1_values
     samples[..., 1] = u2_values
     header = struct.pack("<fii", FLOW_MAGIC, width, height)
-    Path(path).write_bytes(header + samples.tobytes())
+    with open(path, "wb") as f:
+        f.write(header)
+        f.write(samples)
 
 
 def read_flow(path):

@@ -10,11 +10,14 @@ no integration error.  Pattern, surfaces and motions are all closed-form;
 motions give exact velocity fields.  A motion gives only its forward map and
 its velocity, so every motion must be a one-parameter group,
 beta(beta(x, t), s) = beta(x, t + s), which makes beta^{-1}(x, t) equal to
-beta(x, -t).  Ground truth is the coordinate velocity of the motion (the
-quantity the solver estimates), sampled per grid point and per frame.  A
-surface gives only its height: the validation helpers in
-``tests/reference.py`` derive the evolving :class:`MovingBump`'s exact
-slopes and height rate.
+beta(x, -t) and the velocity independent of t; :func:`_check_overlap` and the
+ground truth (the coordinate velocity the solver estimates) rely on this.
+Each map beta(., t) must also be a rigid motion of the plane, so
+|beta(x, -t) - c| = |x - beta(c, t)|: :func:`render` carries the pattern's
+Gaussian centres forward instead of pulling every sample point back.  A
+surface gives only its height, broadcast from a row of x1 and a column of x2:
+the validation helpers in ``tests/reference.py`` derive the evolving
+:class:`MovingBump`'s exact slopes and height rate.
 
 Catalog scenes from :func:`make_scene` use pixel units (spacing and frame
 step both 1, origin at index (0, 0)) with the pattern scaled to the grid, so
@@ -26,11 +29,11 @@ studies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grid import GridSpec, ScalarField, VectorField, coordinate_arrays
+from .grid import GridSpec, ScalarField, VectorField, _index, coordinate_arrays
 
 __all__ = [
     "GaussianPattern",
@@ -52,8 +55,8 @@ class GaussianPattern:
     """Mixture of isotropic Gaussians over a constant base intensity.
 
     ``components`` holds (amplitude, center1, center2, sigma) tuples.  The
-    pattern is defined on the whole plane, so motions may pull sample points
-    outside the grid without special casing.
+    pattern is defined on the whole plane.  Each Gaussian is a product of one
+    exponential per axis, so a row of x1 and a column of x2 give the grid.
     """
 
     base: float = 0.4
@@ -62,8 +65,8 @@ class GaussianPattern:
     def __call__(self, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
         out = np.full(np.broadcast(x1, x2).shape, self.base)
         for amp, c1, c2, sigma in self.components:
-            q = (x1 - c1) ** 2 + (x2 - c2) ** 2
-            out = out + amp * np.exp(-q / (2.0 * sigma * sigma))
+            s = 2.0 * sigma * sigma
+            out += amp * np.exp(-((x1 - c1) ** 2) / s) * np.exp(-((x2 - c2) ** 2) / s)
         return out
 
     def scaled(self, extent: float) -> "GaussianPattern":
@@ -145,7 +148,8 @@ class MovingBump:
     def height(self, x1, x2, t):
         r1 = x1 - (self.center[0] + self.drift[0] * t)
         r2 = x2 - (self.center[1] + self.drift[1] * t)
-        return self.amplitude * np.exp(-(r1 * r1 + r2 * r2) / (2.0 * self.sigma * self.sigma))
+        s = 2.0 * self.sigma * self.sigma
+        return self.amplitude * np.exp(-(r1 * r1) / s) * np.exp(-(r2 * r2) / s)
 
 
 @dataclass(frozen=True)
@@ -202,7 +206,8 @@ class SyntheticScene:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.frame_count < 2:
+        _index("seed", self.seed)
+        if _index("frame_count", self.frame_count) < 2:
             raise ValueError(f"frame_count must be at least 2, got {self.frame_count}")
         if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
             raise ValueError(f"noise_sigma must be non-negative, got {self.noise_sigma}")
@@ -212,31 +217,34 @@ def render(scene: SyntheticScene):
     """Evaluate the scene; returns (frames, heights, truth).
 
     All three are per-frame lists; ``truth[k]`` holds the motion's velocity
-    at frame k sampled on the grid.  Raises if the motion carries the central
-    half-box of the domain outside the grid within the rendered time span,
-    which would leave later frames without usable overlap.
+    at frame k sampled on the grid.  Frame k is the pattern with its centres
+    moved to beta(c, t_k), evaluated on a row of x1 and a column of x2: to a
+    few ulps the pattern sampled at beta(x, -t_k).  The velocity and a static
+    surface's height are built once, and every frame shares that immutable
+    field.  Raises if the motion carries the central half-box of the domain
+    outside the grid within the rendered time span, which would leave later
+    frames without usable overlap.
     """
     spec = scene.spec
     x1, x2 = coordinate_arrays(spec, scene.origin)
     _check_overlap(scene, x1, x2)
+    row, column = x1[:1], x2[:, :1]
+    surface, motion, pattern = scene.surface, scene.motion, scene.pattern
+    times = [k * spec.dt for k in range(scene.frame_count)]
+    if surface.time_dependent:
+        heights = [ScalarField(spec, surface.height(row, column, t)) for t in times]
+    else:
+        heights = [ScalarField(spec, surface.height(row, column, 0.0))] * len(times)
+    truth = [VectorField.from_arrays(spec, *motion.velocity(x1, x2, 0.0))] * len(times)
 
     rng = np.random.default_rng(scene.seed)
     frames = []
-    heights = []
-    truth = []
-    for k in range(scene.frame_count):
-        t = k * spec.dt
-        # beta(x, -t) has the closed-form inverse's bits: IEEE products are
-        # sign-symmetric and x - y is x + (-y), so x + v (-t) == x - v t and
-        # omega (-t) == (-omega) t, also at t = 0 where -t is -0.0 (x + (-0.0) is x)
-        a1, a2 = scene.motion.map(x1, x2, -t)
-        values = scene.pattern(a1, a2)
+    for t in times:
+        moved = [(amp, *motion.map(c1, c2, t), sigma) for amp, c1, c2, sigma in pattern.components]
+        values = replace(pattern, components=tuple(moved))(row, column)
         if scene.noise_sigma > 0:
-            values = values + rng.normal(0.0, scene.noise_sigma, size=values.shape)
+            values += rng.normal(0.0, scene.noise_sigma, size=values.shape)
         frames.append(ScalarField(spec, values))
-        heights.append(ScalarField(spec, scene.surface.height(x1, x2, t)))
-        v1, v2 = scene.motion.velocity(x1, x2, t)
-        truth.append(VectorField.from_arrays(spec, v1, v2))
     return frames, heights, truth
 
 

@@ -5,7 +5,8 @@ graph's tangent frame and metric, which the energy never reads, the general
 Levi-Civita formula against the closed-form graph Christoffel symbols, the
 geometry's fields against the Hessian composition they were built on, the
 moving bump's closed-form height rate and slopes, the pattern's closed-form
-gradient, the motions' closed-form inverse maps, the surface form of the
+gradient, the motions' closed-form inverse maps, the render that samples
+the pattern at every pulled-back grid point, the surface form of the
 optical-flow constraint against the pulled-back residual, the natural
 boundary condition of converged flows, brightness constancy along
 ground-truth trajectories, the solver's probed stencil against whole-grid
@@ -41,6 +42,7 @@ from surfaceflow.grid import (
 from surfaceflow.io import COLOR_WHEEL, wheel_position
 from surfaceflow.model import FlowProblem, _covd_arrays, _gradient_arrays
 from surfaceflow.solver import SolverConfig, _STENCIL, _homogeneous, _inverse_blocks, _probe
+from surfaceflow.synth import MovingBump
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +303,51 @@ def rotation_inverse(motion, x1, x2, t):
     r1 = x1 - motion.center[0]
     r2 = x2 - motion.center[1]
     return motion.center[0] + c * r1 - s * r2, motion.center[1] + s * r1 + c * r2
+
+
+def sampled_render(scene):
+    """``synth.render`` by pulling every sample point back: (frames, heights, truth).
+
+    Frame k sums the pattern's Gaussians as exp(-q / (2 sigma^2)) of squared
+    distances q at beta(x, -t_k), over the full coordinate grid, and height
+    and velocity are built for every frame, a moving bump's height likewise
+    from its summed squared offsets.  ``render`` carries the centres forward
+    to beta(c, t_k) instead and takes each Gaussian as a product of one
+    exponential per axis; for rigid motions the two agree to a few ulps.
+    """
+    spec = scene.spec
+    x1, x2 = coordinate_arrays(spec, scene.origin)
+    rng = np.random.default_rng(scene.seed)
+    frames, heights, truth = [], [], []
+    for k in range(scene.frame_count):
+        t = k * spec.dt
+        # beta(x, -t) has the closed-form inverse's bits: IEEE products are
+        # sign-symmetric and x - y is x + (-y), so x + v (-t) == x - v t and
+        # omega (-t) == (-omega) t, also at t = 0 where -t is -0.0 (x + (-0.0) is x)
+        a1, a2 = scene.motion.map(x1, x2, -t)
+        values = summed_pattern(scene.pattern, a1, a2)
+        if scene.noise_sigma > 0:
+            values = values + rng.normal(0.0, scene.noise_sigma, size=values.shape)
+        frames.append(ScalarField(spec, values))
+        if isinstance(scene.surface, MovingBump):
+            r1, r2 = _bump_offsets(scene.surface, x1, x2, t)
+            sigma = scene.surface.sigma
+            height = scene.surface.amplitude * np.exp(-(r1 * r1 + r2 * r2) / (2.0 * sigma * sigma))
+        else:
+            height = scene.surface.height(x1, x2, t)
+        heights.append(ScalarField(spec, height))
+        truth.append(VectorField.from_arrays(spec, *scene.motion.velocity(x1, x2, t)))
+    return frames, heights, truth
+
+
+def summed_pattern(pattern, x1, x2):
+    """A ``synth.GaussianPattern`` with each Gaussian's squared distances summed
+    inside one exponential."""
+    out = np.full(np.broadcast(x1, x2).shape, pattern.base)
+    for amp, c1, c2, sigma in pattern.components:
+        q = (x1 - c1) ** 2 + (x2 - c2) ** 2
+        out = out + amp * np.exp(-q / (2.0 * sigma * sigma))
+    return out
 
 
 # ---------------------------------------------------------------------------

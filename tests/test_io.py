@@ -68,6 +68,24 @@ class TestFloatImage:
         assert len(data) == len(header) + 36
         assert data[len(header):] == b"\x00" * 36
 
+    @pytest.mark.parametrize(
+        "layout", ["c-order", "fortran-order", "strided", "float32", "scalar-field"]
+    )
+    def test_matches_concatenated_bytes(self, tmp_path, rng, layout):
+        """Header, then payload: the bytes of ``header + payload.tobytes()``."""
+        values = rng.standard_normal((5, 7))
+        arg = {
+            "c-order": values,
+            "fortran-order": np.asfortranarray(values),
+            "strided": rng.standard_normal((10, 21))[::-2, ::3],
+            "float32": values.astype(np.float32),
+            "scalar-field": ScalarField(GridSpec(7, 5), values),
+        }[layout]
+        array = arg.values if isinstance(arg, ScalarField) else arg
+        write_float_image(tmp_path / "f.pfm", arg)
+        expected = b"Pf\n7 5\n-1.0\n" + np.flipud(array).astype("<f4").tobytes()
+        assert (tmp_path / "f.pfm").read_bytes() == expected
+
     def test_big_endian_file(self, tmp_path):
         # rows are stored bottom-to-top, so the decoded array is flipped
         path = tmp_path / "be.pfm"
@@ -130,6 +148,30 @@ class TestFlowFile:
         assert data.hex() == GOLDEN_FLO_HEX
         assert struct.unpack("<f", data[:4])[0] == FLOW_MAGIC
         assert data[:4] == b"PIEH"
+
+    @pytest.mark.parametrize(
+        "layout", ["c-order", "fortran-order", "strided", "float32", "vector-field"]
+    )
+    def test_matches_concatenated_bytes(self, tmp_path, rng, layout):
+        """Header, then samples: the bytes of ``header + samples.tobytes()``."""
+        u1, u2 = rng.standard_normal((2, 5, 7))
+        args = {
+            "c-order": (u1, u2),
+            "fortran-order": (np.asfortranarray(u1), np.asfortranarray(u2)),
+            "strided": tuple(rng.standard_normal((2, 10, 21))[:, ::-2, ::3]),
+            "float32": (u1.astype(np.float32), u2.astype(np.float32)),
+            "vector-field": (VectorField.from_arrays(GridSpec(7, 5), u1, u2),),
+        }[layout]
+        write_flow(tmp_path / "f.flo", *args)
+        if layout == "vector-field":
+            u1, u2 = args[0].u1.values, args[0].u2.values
+        else:
+            u1, u2 = args
+        samples = np.empty((5, 7, 2), dtype="<f4")
+        samples[..., 0] = u1
+        samples[..., 1] = u2
+        expected = struct.pack("<fii", FLOW_MAGIC, 7, 5) + samples.tobytes()
+        assert (tmp_path / "f.flo").read_bytes() == expected
 
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.flo"

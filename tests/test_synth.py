@@ -5,12 +5,15 @@ from hypothesis import strategies as st
 
 from surfaceflow.grid import GridSpec, ScalarField, coordinate_arrays
 from surfaceflow.geometry import build_geometry
+from surfaceflow.io import write_float_image, write_flow
 from surfaceflow.model import problem_from_frames
 from surfaceflow.solver import SolverConfig, solve
 from surfaceflow.synth import (
     SCENE_NAMES,
+    _UNIT_PATTERN,
     Flat,
     GaussianPattern,
+    MovingBump,
     Rotation,
     SyntheticScene,
     Translation,
@@ -19,7 +22,13 @@ from surfaceflow.synth import (
 )
 
 from conftest import same_bits
-from reference import bca_residual, pattern_grad, rotation_inverse, translation_inverse
+from reference import (
+    bca_residual,
+    pattern_grad,
+    rotation_inverse,
+    sampled_render,
+    translation_inverse,
+)
 
 
 def pixel_scene(size, surface, pattern, motion, frame_count=3, **kwargs):
@@ -52,6 +61,21 @@ class TestSceneValidation:
     def test_frame_count(self):
         with pytest.raises(ValueError):
             make_scene("flat-translate", size=17, frame_count=1)
+
+    @pytest.mark.parametrize(
+        "kwargs", [dict(frame_count=3.0), dict(frame_count="3"), dict(seed=2.5), dict(seed=None)]
+    )
+    def test_integer_fields(self, kwargs):
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=name):
+            pixel_scene(17, Flat(), GaussianPattern(), Translation(0.0, 0.0), **kwargs)
+
+    def test_numpy_integers_accepted(self):
+        scene = pixel_scene(
+            17, Flat(), GaussianPattern(), Translation(0.0, 0.0),
+            frame_count=np.int64(3), seed=np.int32(2),
+        )
+        assert len(render(scene)[0]) == 3
 
     def test_noise_sigma(self):
         with pytest.raises(ValueError):
@@ -127,8 +151,8 @@ SIGNED_ZEROS = (np.array([0.0, -0.0, 0.0, -0.0]), np.array([0.0, 0.0, -0.0, -0.0
 
 
 class TestInverseMaps:
-    """``render`` samples the pattern at beta(x, -t); that has the bits of
-    the closed-form inverse, signed zeros included."""
+    """``sampled_render`` samples the pattern at beta(x, -t); that has the
+    bits of the closed-form inverse, signed zeros included."""
 
     @given(v=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)), x=coordinates, t=times)
     @example(v=(1.0, 0.0), x=SIGNED_ZEROS, t=0.0)
@@ -158,6 +182,110 @@ class TestInverseMaps:
     def test_zero_translation_keeps_coordinates(self, x, t):
         got = Translation(0.0, 0.0).map(*x, -t)
         assert same_bits(got[0], x[0]) and same_bits(got[1], x[1])
+
+
+def physical_scene(width, height, h, origin, rotate):
+    """The catalog mixture stretched over a physical domain, on a moving bump,
+    translated or rotated about the domain's centre."""
+    l1, l2 = (width - 1) * h, (height - 1) * h
+    o1, o2 = origin
+    pattern = GaussianPattern(
+        base=0.5,
+        components=tuple(
+            (amp, o1 + c1 * l1, o2 + c2 * l2, sigma * min(l1, l2))
+            for amp, c1, c2, sigma in _UNIT_PATTERN.components
+        ),
+    )
+    centre = (o1 + l1 / 2.0, o2 + l2 / 2.0)
+    motion = Rotation(0.05, centre) if rotate else Translation(0.02 * l1, -0.01 * l2)
+    bump = MovingBump(
+        0.1 * l1, 0.25 * min(l1, l2), (o1 + 0.4 * l1, o2 + 0.45 * l2), (0.03 * l1, 0.02 * l2)
+    )
+    return SyntheticScene(
+        spec=GridSpec(width, height, h=h, dt=0.5),
+        surface=bump,
+        pattern=pattern,
+        motion=motion,
+        frame_count=5,
+        origin=origin,
+        noise_sigma=1e-3,
+        seed=3,
+    )
+
+
+REFERENCE_SCENES = {
+    **{
+        name: make_scene(name, size=33, frame_count=5, noise_sigma=1e-3, seed=1)
+        for name in SCENE_NAMES
+    },
+    **{
+        f"{label}-{'rotate' if rotate else 'translate'}": physical_scene(*shape, rotate)
+        for label, shape in {
+            "13x21": (13, 21, 1.0, (0.0, 0.0)),
+            "offset-origin": (17, 17, 1.0, (-6.5, 3.25)),
+            "h0.37": (17, 17, 0.37, (0.0, 0.0)),
+        }.items()
+        for rotate in (False, True)
+    },
+}
+# largest gap measured over these scenes: 28 ulps, on the 33^2 rotations, where
+# the centres' and the sample points' rotations round differently
+MAX_ULP = 32
+
+
+class TestSampledReference:
+    """``render`` moves the pattern's centres forward and evaluates separable
+    Gaussians; ``sampled_render`` pulls every grid point back."""
+
+    @pytest.mark.parametrize("name", REFERENCE_SCENES)
+    def test_render_matches_reference(self, tmp_path, name):
+        scene = REFERENCE_SCENES[name]
+        frames, heights, truth = render(scene)
+        ref_frames, ref_heights, ref_truth = sampled_render(scene)
+        for got, want in zip(frames + heights, ref_frames + ref_heights):
+            np.testing.assert_array_max_ulp(got.values, want.values, maxulp=MAX_ULP)
+            write_float_image(tmp_path / "got.pfm", got)
+            write_float_image(tmp_path / "want.pfm", want)
+            assert (tmp_path / "got.pfm").read_bytes() == (tmp_path / "want.pfm").read_bytes()
+        for got, want in zip(truth, ref_truth):
+            assert same_bits(got.u1.values, want.u1.values)
+            assert same_bits(got.u2.values, want.u2.values)
+            write_flow(tmp_path / "got.flo", got)
+            write_flow(tmp_path / "want.flo", want)
+            assert (tmp_path / "got.flo").read_bytes() == (tmp_path / "want.flo").read_bytes()
+
+    @given(
+        component=st.tuples(
+            st.floats(-10.0, 10.0), st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), st.floats(0.1, 1e3)
+        ),
+        motion=st.builds(Translation, st.floats(-1e3, 1e3), st.floats(-1e3, 1e3))
+        | st.builds(
+            Rotation,
+            st.floats(-10.0, 10.0),
+            st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+        ),
+        x=coordinates,
+        t=times,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_centre_identity(self, component, motion, x, t):
+        """|beta(x, -t) - c| = |x - beta(c, t)| for rigid motions, so the pattern
+        with moved centres at x is the pattern at beta(x, -t), up to rounding
+        that grows with the coordinates' magnitude."""
+        amp, c1, c2, sigma = component
+        m1, m2 = motion.map(c1, c2, t)
+        a1, a2 = motion.map(*x, -t)
+        centre = getattr(motion, "center", (0.0, 0.0))
+        drift = abs(getattr(motion, "v1", 0.0)) + abs(getattr(motion, "v2", 0.0))
+        scale = np.abs(x[0]) + np.abs(x[1]) + abs(c1) + abs(c2) + drift * t
+        scale = scale + 2.0 * (abs(centre[0]) + abs(centre[1]))
+        eps = np.finfo(float).eps
+        gap = np.abs(np.hypot(a1 - c1, a2 - c2) - np.hypot(x[0] - m1, x[1] - m2))
+        assert np.all(gap <= 8.0 * eps * scale)
+        pulled = GaussianPattern(0.0, (component,))(a1, a2)
+        moved = GaussianPattern(0.0, ((amp, m1, m2, sigma),))(*x)
+        # |d/dr amp exp(-r^2 / (2 sigma^2))| <= |amp| / sigma
+        assert np.all(np.abs(moved - pulled) <= abs(amp) * eps * (8.0 * scale / sigma + 8.0))
 
 
 class TestBrightnessConstancy:
