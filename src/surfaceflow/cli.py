@@ -271,7 +271,7 @@ def cmd_energy(args) -> int:
             f"flow file is {u1.shape[1]}x{u1.shape[0]}, "
             f"manifest grid is {spec.width}x{spec.height}"
         )
-    value, grad = _gradient_arrays(problem, np.stack((u1, u2)), with_energy=True)
+    value, grad = _gradient_arrays(problem._ops, np.stack((u1, u2)), with_energy=True)
     print(
         _report(
             {

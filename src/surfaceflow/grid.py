@@ -238,6 +238,6 @@ def diff_t(frame_a: ScalarField, frame_b: ScalarField, dt: float | None = None) 
         raise ValueError("frames must share one grid spec")
     if dt is None:
         dt = frame_a.spec.dt
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and positive, got {dt}")
     return ScalarField(frame_a.spec, (frame_b.values - frame_a.values) / dt)

@@ -20,35 +20,30 @@ The covariant derivative is one (2, 2, height, width) array d[i, j] = D_j u^i,
 and each stencil or adjoint runs once per axis on both components.  Sums and
 products run in place through scratch arrays, each element's operations in
 the order of the term-by-term formulas, so the layout changes no bit.
+
+A problem builds the arrays these sums read once, at construction, into one
+private, immutable bundle of plain arrays (``FlowProblem._ops``, built and
+checked by ``_operands``): the grid spec, alpha, sqrt(det g), the Christoffel
+table (six distinct arrays), fx1, fx2, ft, w and alpha * w.  The solver's A is
+the same bundle with a zero ft; a coarse bundle recomputes w from 2h.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import numbers
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .geometry import SurfaceGeometry, flat_geometry
-from .grid import (
-    ScalarField,
-    VectorField,
-    diff_t,
-    diff_x1,
-    diff_x1_adjoint_array,
-    diff_x1_array,
-    diff_x2,
-    diff_x2_adjoint_array,
-    diff_x2_array,
-)
+from .grid import ScalarField, VectorField, diff_t, diff_x1, diff_x1_adjoint_array, diff_x1_array
+from .grid import diff_x2, diff_x2_adjoint_array, diff_x2_array
 
-__all__ = [
-    "FlowProblem",
-    "problem_from_frames",
-    "ofc_residual",
-    "energy",
-    "energy_gradient",
-]
+__all__ = ["FlowProblem", "problem_from_frames", "ofc_residual", "energy", "energy_gradient"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,8 +51,12 @@ class FlowProblem:
     """Data term derivatives, geometry and coupling weight for one frame pair.
 
     ``fx1``, ``fx2``, ``ft`` are the spatial and temporal derivatives of the
-    intensity sequence evaluated on the grid; ``alpha`` weights the data term
-    against the regularizer.
+    intensity sequence evaluated on the grid; ``alpha``, a positive finite
+    real scalar, weights the data term against the regularizer.  Construction
+    builds the arrays the energy reads once, as the bundle ``_ops`` (the module
+    docstring lists them), and checks alpha, w and the data term on it.  A's
+    bundle is the same with a zero ft, and a coarse bundle, from every other
+    sample with h doubled, recomputes w from (2h)^2 rather than scaling w by 4.
     """
 
     geom: SurfaceGeometry
@@ -71,23 +70,44 @@ class FlowProblem:
         for name in ("fx1", "fx2", "ft"):
             if getattr(self, name).spec != spec:
                 raise ValueError(f"{name} does not match the geometry grid spec")
-        if not (np.isfinite(self.alpha) and self.alpha > 0):
-            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
-        w = _quad_weights(self.geom)
-        if not np.all(np.isfinite(w)):
-            raise ValueError("quadrature weights sqrt(det g) * h^2 are not finite")
-        fx1, fx2, ft = self.fx1.values, self.fx2.values, self.ft.values
-        with np.errstate(over="ignore", invalid="ignore"):
-            data = np.sum(self.alpha * w * (fx1 * fx1 + fx2 * fx2 + ft * ft))
-        if not np.isfinite(data):
-            raise ValueError(
-                "data term alpha * sqrt(det g) * h^2 * (fx1^2 + fx2^2 + ft^2) "
-                "overflows; rescale the intensities"
-            )
+        self._ops  # built here, once, so its checks run at construction
 
     @property
     def spec(self):
         return self.geom.spec
+
+    @cached_property
+    def _ops(self) -> _Operands:
+        geom, data = self.geom, (self.fx1.values, self.fx2.values, self.ft.values)
+        gamma = [getattr(geom, f"gamma{i}_{jk}").values for i in "12" for jk in ("11", "12", "22")]
+        return _operands(geom.spec, self.alpha, geom.sqrt_detg.values, gamma, *data)
+
+
+_Operands = namedtuple("_Operands", "spec alpha sqrt_detg gamma fx1 fx2 ft w alpha_w")
+
+
+def _operands(spec, alpha, sqrt_detg, christoffel, fx1, fx2, ft) -> _Operands:
+    """The bundle on ``spec``, its ``gamma[i][j][k]`` G^i_jk (from 0: component i,
+    derivative j, flow component k) from ``christoffel``, G^1_11, G^1_12, G^1_22,
+    G^2_11, G^2_12, G^2_22; ``ValueError`` unless alpha is a positive finite real
+    scalar and w and the data term are finite."""
+    if not (isinstance(alpha, numbers.Real) and 0 < alpha < math.inf):
+        raise ValueError(f"alpha must be a positive finite real scalar, got {alpha!r}")
+    w = np.multiply(sqrt_detg, spec.h * spec.h)
+    if not np.all(np.isfinite(w)):
+        raise ValueError("quadrature weights sqrt(det g) * h^2 are not finite")
+    with np.errstate(over="ignore", invalid="ignore"):
+        alpha_w = np.multiply(w, alpha)
+        data = np.sum(alpha_w * (fx1 * fx1 + fx2 * fx2 + ft * ft))
+    if not np.isfinite(data):
+        raise ValueError(
+            "data term alpha * sqrt(det g) * h^2 * (fx1^2 + fx2^2 + ft^2) "
+            "overflows; rescale the intensities"
+        )
+    w.flags.writeable = alpha_w.flags.writeable = False
+    c = christoffel
+    gamma = ((c[0], c[1]), (c[1], c[2])), ((c[3], c[4]), (c[4], c[5]))
+    return _Operands(spec, alpha, sqrt_detg, gamma, fx1, fx2, ft, w, alpha_w)
 
 
 def problem_from_frames(
@@ -118,18 +138,17 @@ def problem_from_frames(
 
 def ofc_residual(problem: FlowProblem, u: VectorField) -> ScalarField:
     """Pulled-back optical-flow-constraint residual fx1*u1 + fx2*u2 + ft."""
-    r = _residual_array(problem, _flow_array(problem, u))
-    return ScalarField(problem.spec, r)
+    return ScalarField(problem.spec, _residual_array(problem._ops, _flow_array(problem, u)))
 
 
 def energy(problem: FlowProblem, u: VectorField) -> float:
     """Discrete energy value; the quantity every solver step must not increase."""
-    return _energy_arrays(problem, _flow_array(problem, u))
+    return _energy_arrays(problem._ops, _flow_array(problem, u))
 
 
 def energy_gradient(problem: FlowProblem, u: VectorField) -> VectorField:
     """Exact gradient of :func:`energy` with respect to the flow values."""
-    g = _gradient_arrays(problem, _flow_array(problem, u))
+    g = _gradient_arrays(problem._ops, _flow_array(problem, u))
     return VectorField.from_arrays(problem.spec, *g)
 
 
@@ -140,39 +159,27 @@ def _flow_array(problem: FlowProblem, u: VectorField) -> np.ndarray:
     return np.stack((u.u1.values, u.u2.values))
 
 
-def _quad_weights(geom: SurfaceGeometry, out=None) -> np.ndarray:
-    return np.multiply(geom.sqrt_detg.values, geom.spec.h * geom.spec.h, out=out)
-
-
-def _residual_array(problem: FlowProblem, u: np.ndarray, work=None, out=None) -> np.ndarray:
-    r = np.multiply(problem.fx1.values, u[0], out=out)
-    r += np.multiply(problem.fx2.values, u[1], out=work)
-    r += problem.ft.values
+def _residual_array(ops: _Operands, u: np.ndarray, work=None, out=None) -> np.ndarray:
+    r = np.multiply(ops.fx1, u[0], out=out)
+    r += np.multiply(ops.fx2, u[1], out=work)
+    r += ops.ft
     return r
 
 
-def _christoffel_table(geom: SurfaceGeometry):
-    """G^i_jk as ``gamma[i][j][k]``, from 0: component i, derivative j, flow component k."""
-    c = [getattr(geom, f"gamma{i}_{jk}").values for i in (1, 2) for jk in ("11", "12", "22")]
-    return ((c[0], c[1]), (c[1], c[2])), ((c[3], c[4]), (c[4], c[5]))
-
-
-def _covd_arrays(geom: SurfaceGeometry, u: np.ndarray, work=None, out=None) -> np.ndarray:
+def _covd_arrays(ops: _Operands, u: np.ndarray, work=None, out=None) -> np.ndarray:
     """d[i, j] = D_j u^i = d_j u^i + G^i_j1 u^1 + G^i_j2 u^2 as one (2, 2, height, width) array."""
-    h = geom.spec.h
+    h = ops.spec.h
     d = np.empty((2,) + u.shape) if out is None else out
     diff_x1_array(u, h, out=d[:, 0])
     diff_x2_array(u, h, out=d[:, 1])
-    gamma = _christoffel_table(geom)
     for i, j, k in itertools.product(range(2), repeat=3):
-        d[i, j] += np.multiply(gamma[i][j][k], u[k], out=work)
+        d[i, j] += np.multiply(ops.gamma[i][j][k], u[k], out=work)
     return d
 
 
-def _energy_arrays(problem: FlowProblem, u: np.ndarray) -> float:
+def _energy_arrays(ops: _Operands, u: np.ndarray) -> float:
     """:func:`energy` on the flow held as one array."""
-    r, d = _residual_array(problem, u), _covd_arrays(problem.geom, u)
-    return _energy_sum(problem.alpha, _quad_weights(problem.geom), r, d)
+    return _energy_sum(ops.alpha, ops.w, _residual_array(ops, u), _covd_arrays(ops, u))
 
 
 def _energy_sum(alpha, w, r, d, work=None) -> float:
@@ -185,7 +192,7 @@ def _energy_sum(alpha, w, r, d, work=None) -> float:
     return 0.5 * float(np.sum(total))
 
 
-def _gradient_arrays(problem: FlowProblem, u: np.ndarray, with_energy: bool = False):
+def _gradient_arrays(ops: _Operands, u: np.ndarray, with_energy: bool = False):
     """Adjoint assembly of the energy gradient as one (2, height, width) array.
 
     With s_ij = w * d_ij, component m of the gradient is the transposed
@@ -195,28 +202,25 @@ def _gradient_arrays(problem: FlowProblem, u: np.ndarray, with_energy: bool = Fa
     right.  ``with_energy`` also returns the energy, from the same residual
     and covariant derivative: (energy, gradient).
     """
-    geom = problem.geom
-    h = geom.spec.h
+    h = ops.spec.h
     shape = u.shape[1:]
-    # One block holds all scratch: d, the second adjoint, w, r and the product
+    # One block holds all scratch: d, the second adjoint, r and the product
     # buffer.  glibc gives its heap top back to the system once more than twice
     # the largest block freed so far lies free there; as separate arrays they
     # crossed that bound on every call, so each call faulted its pages in again.
-    block = np.empty((9,) + shape)
-    d, adjoint, (w, r, work) = block[:4].reshape((2, 2) + shape), block[4:6], block[6:]
-    _quad_weights(geom, out=w)
-    _covd_arrays(geom, u, work, out=d)
-    _residual_array(problem, u, work, out=r)
+    block = np.empty((8,) + shape)
+    d, adjoint, (r, work) = block[:4].reshape((2, 2) + shape), block[4:6], block[6:]
+    _covd_arrays(ops, u, work, out=d)
+    _residual_array(ops, u, work, out=r)
     if with_energy:
-        value = _energy_sum(problem.alpha, w, r, d, work)
-    s = np.multiply(d, w, out=d)  # s_ij = w d_ij, in d's place
+        value = _energy_sum(ops.alpha, ops.w, r, d, work)
+    s = np.multiply(d, ops.w, out=d)  # s_ij = w d_ij, in d's place
     g = diff_x1_adjoint_array(s[:, 0], h, out=np.empty(u.shape))
     g += diff_x2_adjoint_array(s[:, 1], h, out=adjoint)
-    gamma = _christoffel_table(geom)
     for m, k, j in itertools.product(range(2), repeat=3):
-        g[m] += np.multiply(gamma[k][j][m], s[k, j], out=work)
+        g[m] += np.multiply(ops.gamma[k][j][m], s[k, j], out=work)
     # alpha w r, then the data term alpha w r f_m
-    r *= np.multiply(w, problem.alpha, out=work)
-    g[0] += np.multiply(r, problem.fx1.values, out=work)
-    g[1] += np.multiply(r, problem.fx2.values, out=work)
+    r *= ops.alpha_w
+    g[0] += np.multiply(r, ops.fx1, out=work)
+    g[1] += np.multiply(r, ops.fx2, out=work)
     return (value, g) if with_energy else g

@@ -5,8 +5,8 @@ A symmetric positive semi-definite and b = grad E(0).  A = R + D splits into
 the covariant regularizer R, which reads the geometry alone, and the
 pointwise data block D = alpha * w * f f^T (w = sqrt(det g) * h^2,
 f = (fx1, fx2)); b = alpha * w * ft * f.  The solver sees A only as the
-gradient of the homogeneous problem, the same problem with ft = 0: its
-gradient is R p + D p, computed matrix-free with no subtraction.
+gradient of A's bundle, the problem's bundle of energy arrays (``model``)
+with a zero ft: R p + D p, computed matrix-free with no subtraction.
 
 Every coupling in A is axis-aligned with offset at most two (the
 one-dimensional stencils composed with their adjoints) or joins the two flow
@@ -57,30 +57,24 @@ Counted in gradient applies, a solve that iterates costs 1 at setup (the
 gradient and energy at the initial flow), then the probe, 20 for SOR or 6
 for CG, then none per SOR sweep and 1 per CG iteration, and 1 at the end for
 the gradient and energy at the returned flow.  A cold solve (no u0) on a grid
-with both sides odd and above 65 adds the cost of ``solve`` on its coarse
-problem, every other sample of its fields with h doubled (257 recurses to 129
-and 65), and starts from that flow prolonged bilinearly (nested iteration,
-after Deuflhard): within ``tol`` of a zero start's flow, bitwise repeatable.
+with both sides odd and above 65 adds the cost of a solve on its coarse
+bundle, every other sample of its source arrays with h doubled (257 recurses
+to 129 and 65), and starts from that flow prolonged bilinearly (nested
+iteration, after Deuflhard): within ``tol`` of a zero start's flow, bitwise
+repeatable.  A coarse bundle failing the problem's checks gives a zero start.
 """
 
 from __future__ import annotations
 
-import copy
 import itertools
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridSpec, ScalarField, VectorField, _index
-from .model import FlowProblem, _energy_arrays, _flow_array, _gradient_arrays
+from .grid import GridSpec, VectorField, _index
+from .model import FlowProblem, _energy_arrays, _flow_array, _gradient_arrays, _operands
 
-__all__ = [
-    "METHODS",
-    "OMEGA",
-    "SolverConfig",
-    "SolverReport",
-    "solve",
-]
+__all__ = ["METHODS", "OMEGA", "SolverConfig", "SolverReport", "solve"]
 
 METHODS = ("cg", "sor")  # matched exactly
 # SOR's relaxation factor: every sweep is monotone for any omega in (0, 2),
@@ -171,36 +165,44 @@ def solve(
     (CG).  The initial guess converging immediately is reported as zero
     iterations.
     """
-    if config is None:
-        config = SolverConfig()
-    spec = problem.spec
-    if u0 is not None:
-        u, coarse_iterations = _flow_array(problem, u0), ()
-    elif spec.width % 2 and spec.height % 2 and min(spec.shape) > _NESTED_ABOVE:
-        u, coarse_iterations = _prolong(*solve(_coarsen(problem), config))
-    else:
-        u, coarse_iterations = np.zeros((2,) + spec.shape), ()
+    u = None if u0 is None else _flow_array(problem, u0)
+    u, report = _solve(problem._ops, config or SolverConfig(), u, track_energy)
+    return VectorField.from_arrays(problem.spec, *u), report
 
-    e_initial, g = _gradient_arrays(problem, u, with_energy=True)
+
+def _solve(ops, config, u, track_energy=False):
+    """:func:`solve` on a bundle from the flow array ``u``, or cold from None."""
+    spec, coarse, coarse_iterations = ops.spec, None, ()
+    if u is None and spec.width % 2 and spec.height % 2 and min(spec.shape) > _NESTED_ABOVE:
+        coarse = _coarsen(ops)
+    if coarse is not None:
+        u, coarse_iterations = _prolong(*_solve(coarse, config, None))
+        del coarse  # freed before the fine iterations, which never read it
+    elif u is None:
+        u = np.zeros((2,) + spec.shape)
+
+    e_initial, g = _gradient_arrays(ops, u, with_energy=True)
     e_final = e_initial
     trace = [e_initial]
     iterations = 0
     stop_reason = "converged"
     if _max_norm(g) > config.tol:
         steps = _sor_steps if config.method == "sor" else _cg_steps
+        # A's bundle; its zero ft is still added, as a skipped add can turn +0.0 into -0.0
+        homogeneous = ops._replace(ft=np.zeros(spec.shape))
         # unnamed, the generator and its buffers are freed when the loop ends
         for iterations, res in enumerate(
-            itertools.islice(steps(_homogeneous(problem), g, u), config.max_iter), 1
+            itertools.islice(steps(homogeneous, g, u), config.max_iter), 1
         ):
             if track_energy:
-                trace.append(_energy_arrays(problem, u))
+                trace.append(_energy_arrays(ops, u))
             if res <= config.tol:
                 break
         else:
             stop_reason = "max_iter" if iterations == config.max_iter else "breakdown"
-        e_final, g = _gradient_arrays(problem, u, with_energy=True)
+        e_final, g = _gradient_arrays(ops, u, with_energy=True)
     res = _max_norm(g)
-    report = SolverReport(
+    return u, SolverReport(
         method=config.method,
         converged=res <= config.tol,
         iterations=iterations,
@@ -211,26 +213,27 @@ def solve(
         energy_trace=tuple(trace) if track_energy else None,
         coarse_iterations=coarse_iterations,
     )
-    return VectorField.from_arrays(spec, *u), report
 
 
-def _coarsen(problem):
-    """The problem on every other sample, h doubled, from its fields alone."""
-    spec, geom = problem.spec, problem.geom
+def _coarsen(ops):
+    """The bundle on every other sample, h doubled, or None if it fails the checks."""
+    spec = ops.spec
     coarse = GridSpec((spec.width + 1) // 2, (spec.height + 1) // 2, 2 * spec.h, spec.dt)
-    sample = lambda field: ScalarField(coarse, field.values[::2, ::2])
-    sampled = {f.name: sample(getattr(geom, f.name)) for f in fields(geom) if f.name != "spec"}
-    geom = replace(geom, spec=coarse, **sampled)
-    data = (sample(field) for field in (problem.fx1, problem.fx2, problem.ft))
-    return FlowProblem(geom, *data, problem.alpha)
+    sample = lambda a: np.ascontiguousarray(a[::2, ::2])
+    christoffel = [sample(g[j][k]) for g in ops.gamma for j, k in ((0, 0), (0, 1), (1, 1))]
+    data = (sample(a) for a in (ops.fx1, ops.fx2, ops.ft))
+    try:
+        return _operands(coarse, ops.alpha, sample(ops.sqrt_detg), christoffel, *data)
+    except ValueError:
+        return None
 
 
-def _prolong(flow, report):
-    """A coarse solve's flow, interpolated bilinearly onto the grid it samples at
-    every other point, and its levels' iteration counts, coarsest first."""
-    height, width = flow.spec.shape
+def _prolong(coarse, report):
+    """A coarse solve's flow array, interpolated bilinearly onto the grid it
+    samples at every other point, and its levels' iteration counts, coarsest first."""
+    height, width = coarse.shape[1:]
     u = np.empty((2, 2 * height - 1, 2 * width - 1))
-    u[:, ::2, ::2] = flow.u1.values, flow.u2.values
+    u[:, ::2, ::2] = coarse
     for v in (u[:, :, ::2], u.swapaxes(1, 2)):  # the row, then the column midpoints
         mid = np.add(v[:, :-1:2], v[:, 2::2], out=v[:, 1::2])
         mid *= 0.5
@@ -240,14 +243,6 @@ def _prolong(flow, report):
 def _max_norm(g: np.ndarray) -> float:
     """max |g| from g's extremes, with no |g| array; abs makes an all-zero g's -0 +0."""
     return float(abs(max(g.max(), -g.min())))
-
-
-def _homogeneous(problem):
-    """The problem with ft = 0, whose energy gradient is A p: R p + D p; a
-    shallow copy, as the checks the problem passed hold with ft = 0 too."""
-    homogeneous = copy.copy(problem)
-    object.__setattr__(homogeneous, "ft", ScalarField.zeros(problem.spec))
-    return homogeneous
 
 
 def _lattice(offsets):
@@ -264,8 +259,8 @@ def _lattice(offsets):
 def _probe(homogeneous, offsets):
     """A's coefficients at ``offsets`` (a subset of ``_STENCIL``), read off exactly.
 
-    ``homogeneous`` must be a problem with ft = 0 (``_homogeneous``), whose
-    energy gradient is A itself; the full problem's would add b to every
+    ``homogeneous`` must be A's bundle, the problem's with ft = 0, whose
+    energy gradient is A itself; the problem's own would add b to every
     offset.  Returns c of shape (len(offsets), 2, 2, height, width) with
     (A u)_i(q) = sum over d of c[d, i, k](q) u_k(q + d); c[d] is zero where
     q + d leaves the grid.  Each of the 2 m applies of the ``_lattice`` coloring,

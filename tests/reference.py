@@ -41,7 +41,7 @@ from surfaceflow.grid import (
 )
 from surfaceflow.io import COLOR_WHEEL, wheel_position
 from surfaceflow.model import FlowProblem, _covd_arrays, _gradient_arrays
-from surfaceflow.solver import SolverConfig, _STENCIL, _homogeneous, _inverse_blocks, _probe
+from surfaceflow.solver import SolverConfig, _STENCIL, _inverse_blocks, _probe
 from surfaceflow.synth import MovingBump
 
 
@@ -406,7 +406,9 @@ def covariant_derivative(geom: SurfaceGeometry, u: VectorField) -> CovariantDeri
     """All four entries D_j u^i on the grid."""
     if u.spec != geom.spec:
         raise ValueError("vector field does not match the geometry grid spec")
-    (d11, d12), (d21, d22) = _covd_arrays(geom, np.stack((u.u1.values, u.u2.values)))
+    zero = ScalarField.zeros(geom.spec)
+    ops = FlowProblem(geom, zero, zero, zero)._ops
+    (d11, d12), (d21, d22) = _covd_arrays(ops, np.stack((u.u1.values, u.u2.values)))
     wrap = lambda a: ScalarField(geom.spec, a)
     return CovariantDerivative(wrap(d11), wrap(d12), wrap(d21), wrap(d22))
 
@@ -472,11 +474,12 @@ def scatter_x1_adjoint(s: np.ndarray, h: float) -> np.ndarray:
     return scatter_x2_adjoint(s.T, h).T
 
 
-def termwise_covd(geom: SurfaceGeometry, u: np.ndarray):
-    """d11, d12, d21, d22 of the (2, height, width) flow, one array per entry."""
-    h = geom.spec.h
+def termwise_covd(ops, u: np.ndarray):
+    """d11, d12, d21, d22 of the (2, height, width) flow, one array per entry,
+    from a problem's bundle of energy arrays."""
+    h = ops.spec.h
     u1, u2 = u
-    c1_11, c1_12, c1_22, c2_11, c2_12, c2_22 = _christoffel_values(geom)
+    c1_11, c1_12, c1_22, c2_11, c2_12, c2_22 = _christoffel_values(ops)
     d11 = termwise_x1(u1, h) + c1_11 * u1 + c1_12 * u2
     d12 = termwise_x2(u1, h) + c1_12 * u1 + c1_22 * u2
     d21 = termwise_x1(u2, h) + c2_11 * u1 + c2_12 * u2
@@ -484,16 +487,17 @@ def termwise_covd(geom: SurfaceGeometry, u: np.ndarray):
     return d11, d12, d21, d22
 
 
-def termwise_gradient(problem: FlowProblem, u: np.ndarray, with_energy: bool = False):
+def termwise_gradient(ops, u: np.ndarray, with_energy: bool = False):
     """The energy gradient with every term in its own array and each
     adjoint scattered into zeros: the package's gradient, operation for
-    operation and in the same order, before it wrote through scratch arrays."""
-    geom = problem.geom
-    h = geom.spec.h
-    w = geom.sqrt_detg.values * (h * h)
-    d11, d12, d21, d22 = termwise_covd(geom, u)
+    operation and in the same order, before it wrote through scratch arrays.
+    It reads a problem's bundle of energy arrays but computes w and alpha * w
+    itself, from sqrt(det g), h and alpha, as the package did per apply."""
+    h = ops.spec.h
+    w = ops.sqrt_detg * (h * h)
+    d11, d12, d21, d22 = termwise_covd(ops, u)
     s11, s12, s21, s22 = w * d11, w * d12, w * d21, w * d22
-    c1_11, c1_12, c1_22, c2_11, c2_12, c2_22 = _christoffel_values(geom)
+    c1_11, c1_12, c1_22, c2_11, c2_12, c2_22 = _christoffel_values(ops)
     g1 = (
         scatter_x1_adjoint(s11, h)
         + scatter_x2_adjoint(s12, h)
@@ -510,26 +514,31 @@ def termwise_gradient(problem: FlowProblem, u: np.ndarray, with_energy: bool = F
         + c2_12 * s21
         + c2_22 * s22
     )
-    fx1, fx2 = problem.fx1.values, problem.fx2.values
-    r = fx1 * u[0] + fx2 * u[1] + problem.ft.values
-    awr = problem.alpha * w * r
+    fx1, fx2 = ops.fx1, ops.fx2
+    r = fx1 * u[0] + fx2 * u[1] + ops.ft
+    awr = ops.alpha * w * r
     g = np.empty((2,) + w.shape)
     np.add(g1, awr * fx1, out=g[0])
     np.add(g2, awr * fx2, out=g[1])
     if with_energy:
         total = np.sum(
-            w * (problem.alpha * r * r + d11 * d11 + d12 * d12 + d21 * d21 + d22 * d22)
+            w * (ops.alpha * r * r + d11 * d11 + d12 * d12 + d21 * d21 + d22 * d22)
         )
         return 0.5 * float(total), g
     return g
 
 
-def _christoffel_values(geom: SurfaceGeometry):
-    names = ("gamma1_11", "gamma1_12", "gamma1_22", "gamma2_11", "gamma2_12", "gamma2_22")
-    return tuple(getattr(geom, name).values for name in names)
+def _christoffel_values(ops):
+    """G^1_11, G^1_12, G^1_22, G^2_11, G^2_12, G^2_22 from the bundle's table."""
+    return tuple(gamma[j][k] for gamma in ops.gamma for j, k in ((0, 0), (0, 1), (1, 1)))
 
 
-def allocating_cg_steps(homogeneous: FlowProblem, g, u):
+def a_bundle(problem: FlowProblem):
+    """A's bundle, as the solver builds it: the problem's bundle with a zero ft."""
+    return problem._ops._replace(ft=np.zeros(problem.spec.shape))
+
+
+def allocating_cg_steps(homogeneous, g, u):
     """The solver's CG steps with every vector update allocating its result
     and z and p sharing one array until the first direction update: the
     package's loop before it updated in place."""
@@ -565,7 +574,7 @@ def allocating_cg_steps(homogeneous: FlowProblem, g, u):
 # ---------------------------------------------------------------------------
 
 
-def square_probe(homogeneous: FlowProblem, offsets) -> np.ndarray:
+def square_probe(homogeneous, offsets) -> np.ndarray:
     """The solver's probe with a square coloring: the same c[d, i, k] array,
     read from the 2 p^2 applies of the (row mod p, col mod p) coloring whose
     period p is the smallest at which q + d is the only stencil point of q in
@@ -616,8 +625,8 @@ def full_apply_sor(problem: FlowProblem, config: SolverConfig, u1: np.ndarray, u
     color update: the solver's SOR before its colors read their residuals off
     the probed stencil.  Sweeps at least once from (u1, u2), updated in place;
     returns (converged, sweeps, u1, u2, gradient max-norm)."""
-    (i11, i22), i12 = _inverse_blocks(_probe(_homogeneous(problem), _STENCIL[:1])[0])
-    g1, g2 = _gradient_arrays(problem, np.stack((u1, u2)))
+    (i11, i22), i12 = _inverse_blocks(_probe(a_bundle(problem), _STENCIL[:1])[0])
+    g1, g2 = _gradient_arrays(problem._ops, np.stack((u1, u2)))
     omega = 1.9  # the solver's relaxation factor, stated here on its own
     converged = False
     res = np.inf
@@ -629,7 +638,7 @@ def full_apply_sor(problem: FlowProblem, config: SolverConfig, u1: np.ndarray, u
                 gb2 = g2[sel]
                 u1[sel] -= omega * (i11[sel] * gb1 + i12[sel] * gb2)
                 u2[sel] -= omega * (i12[sel] * gb1 + i22[sel] * gb2)
-                g1, g2 = _gradient_arrays(problem, np.stack((u1, u2)))
+                g1, g2 = _gradient_arrays(problem._ops, np.stack((u1, u2)))
         res = float(max(np.max(np.abs(g1)), np.max(np.abs(g2))))
         if res <= config.tol:
             converged = True

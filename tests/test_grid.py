@@ -298,6 +298,14 @@ class TestDiffT:
         with pytest.raises(ValueError):
             diff_t(a, b, 1.0)
 
+    @pytest.mark.parametrize("dt", [float("inf"), float("-inf"), float("nan"), 0.0, -1.0])
+    def test_rejects_a_non_finite_or_non_positive_dt(self, dt):
+        # an infinite dt would give an all -0.0 ft: a problem with no temporal data
+        a = ScalarField.zeros(GridSpec(3, 3))
+        b = ScalarField.constant(GridSpec(3, 3), 1.0)
+        with pytest.raises(ValueError, match="dt"):
+            diff_t(a, b, dt)
+
 
 class TestHessian:
     def test_linear_is_zero(self):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -81,6 +82,29 @@ class TestFlowProblemValidation:
         with pytest.raises(ValueError, match="data term"):
             FlowProblem(geom=build_geometry(zero), fx1=half, fx2=zero, ft=zero, alpha=1e10)
         FlowProblem(geom=build_geometry(zero), fx1=half, fx2=zero, ft=zero)
+
+    @pytest.mark.parametrize(
+        "alpha",
+        ["10", np.array([1.0, 2.0]), None, 1j, float("nan"), float("inf"), np.float64("-inf")],
+        ids=["str", "array", "none", "complex", "nan", "inf", "-inf"],
+    )
+    def test_alpha_not_a_positive_finite_real_scalar(self, alpha):
+        zero = ScalarField.zeros(GridSpec(4, 4))
+        with pytest.raises(ValueError, match="alpha"):
+            FlowProblem(geom=build_geometry(zero), fx1=zero, fx2=zero, ft=zero, alpha=alpha)
+
+    @pytest.mark.parametrize(
+        "alpha", [10, np.int64(10), np.int32(10), np.float32(10.0), np.float64(10.0)],
+        ids=["int", "int64", "int32", "float32", "float64"],
+    )
+    def test_alpha_ints_and_floats_keep_the_bits(self, rng, alpha):
+        ref = random_problem(GridSpec(6, 5), rng, alpha=10.0, curved=True)
+        prob = FlowProblem(geom=ref.geom, fx1=ref.fx1, fx2=ref.fx2, ft=ref.ft, alpha=alpha)
+        u = random_vector_field(ref.spec, rng)
+        assert energy(prob, u) == energy(ref, u)
+        mine, theirs = energy_gradient(prob, u), energy_gradient(ref, u)
+        assert same_bits(mine.u1.values, theirs.u1.values)
+        assert same_bits(mine.u2.values, theirs.u2.values)
 
     def test_spec_mismatch(self):
         geom = build_geometry(ScalarField.zeros(GridSpec(4, 4)))
@@ -313,6 +337,24 @@ class TestEnergyGradient:
         assert np.max(np.abs(grad.u2.values)) <= 1e-14
 
 
+class TestBundle:
+    def test_holds_the_problem_arrays(self, rng):
+        # the problem's own read-only arrays, the Christoffel table laid out
+        # as G^i_jk = gamma[i][j][k], and w and alpha w computed once
+        prob = random_problem(GridSpec(7, 6, h=0.5), rng, alpha=3.0, curved=True)
+        ops, geom = prob._ops, prob.geom
+        assert ops is prob._ops and ops.spec == prob.spec and ops.alpha == prob.alpha
+        assert ops.sqrt_detg is geom.sqrt_detg.values
+        assert ops.fx1 is prob.fx1.values and ops.fx2 is prob.fx2.values
+        assert ops.ft is prob.ft.values
+        for i, j, k in itertools.product(range(2), repeat=3):
+            name = f"gamma{i + 1}_{min(j, k) + 1}{max(j, k) + 1}"
+            assert ops.gamma[i][j][k] is getattr(geom, name).values
+        w = geom.sqrt_detg.values * (0.5 * 0.5)
+        assert same_bits(ops.w, w) and same_bits(ops.alpha_w, 3.0 * w)
+        assert not (ops.w.flags.writeable or ops.alpha_w.flags.writeable)
+
+
 class TestGradientMatchesTermwise:
     """The stacked gradient, written through scratch arrays, is bitwise the
     term-by-term assembly with every sum in the same order."""
@@ -348,13 +390,14 @@ class TestGradientMatchesTermwise:
         u[rng.random(u.shape) < 0.2] = 0.0
         u[rng.random(u.shape) < 0.2] = -0.0
 
-        value, g = _gradient_arrays(prob, u, with_energy=True)
-        ref_value, ref_g = termwise_gradient(prob, u, with_energy=True)
-        assert value == ref_value == _energy_arrays(prob, u)
+        ops = prob._ops
+        value, g = _gradient_arrays(ops, u, with_energy=True)
+        ref_value, ref_g = termwise_gradient(ops, u, with_energy=True)
+        assert value == ref_value == _energy_arrays(ops, u)
         assert same_bits(g, ref_g)
-        assert same_bits(_gradient_arrays(prob, u), ref_g)
-        d = _covd_arrays(geom, u)
-        for mine, ref in zip(d.reshape((4,) + spec.shape), termwise_covd(geom, u)):
+        assert same_bits(_gradient_arrays(ops, u), ref_g)
+        d = _covd_arrays(ops, u)
+        for mine, ref in zip(d.reshape((4,) + spec.shape), termwise_covd(ops, u)):
             assert same_bits(mine, ref)
 
 

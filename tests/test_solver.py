@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import math
 
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import surfaceflow.model as model
 import surfaceflow.solver as solver
 from surfaceflow.grid import GridSpec, ScalarField, VectorField, coordinate_arrays
 from surfaceflow.geometry import build_geometry, flat_geometry
@@ -30,6 +32,7 @@ from conftest import (
     same_bits,
 )
 from reference import (
+    a_bundle,
     allocating_cg_steps,
     check_natural_bc,
     full_apply_sor,
@@ -170,8 +173,8 @@ def drawn_problem(height, width, surface, rng):
 
 
 def probed(prob):
-    """The homogeneous problem of ``prob`` and its whole probed stencil."""
-    homogeneous = solver._homogeneous(prob)
+    """A's bundle for ``prob`` and its whole probed stencil."""
+    homogeneous = a_bundle(prob)
     return homogeneous, solver._probe(homogeneous, solver._STENCIL)
 
 
@@ -263,9 +266,9 @@ class TestStencil:
         # offset 0 it adds the block alpha * w * f f^T with one rounding
         rng = np.random.default_rng(seed)
         prob = drawn_problem(height, width, surface, rng)
-        mine = solver._probe(solver._homogeneous(prob), solver._STENCIL)
+        mine = solver._probe(a_bundle(prob), solver._STENCIL)
         zero = ScalarField.zeros(prob.spec)
-        no_data = FlowProblem(geom=prob.geom, fx1=zero, fx2=zero, ft=zero, alpha=prob.alpha)
+        no_data = FlowProblem(geom=prob.geom, fx1=zero, fx2=zero, ft=zero, alpha=prob.alpha)._ops
         regularizer = solver._probe(no_data, solver._STENCIL)
         assert np.array_equal(mine[1:], regularizer[1:])
         f = np.stack((prob.fx1.values, prob.fx2.values))
@@ -296,7 +299,7 @@ class TestStencil:
         rng = np.random.default_rng(seed)
         prob = drawn_problem(height, width, surface, rng)
         spec = prob.spec
-        homogeneous = solver._homogeneous(prob)
+        homogeneous = a_bundle(prob)
         for offsets in (solver._STENCIL, solver._STENCIL[:1]):
             mine = solver._probe(homogeneous, offsets)
             ref = square_probe(homogeneous, offsets)
@@ -316,11 +319,11 @@ class TestStencil:
         rng = np.random.default_rng(seed)
         prob = random_problem(GridSpec(width, height), rng, curved=True)
         for u in (np.zeros((2,) + prob.spec.shape), rng.standard_normal((2,) + prob.spec.shape)):
-            g = _gradient_arrays(prob, u)
-            sweeps = solver._sor_steps(solver._homogeneous(prob), g, u)
+            g = _gradient_arrays(prob._ops, u)
+            sweeps = solver._sor_steps(a_bundle(prob), g, u)
             for _ in range(6):
                 res = next(sweeps)
-                ref = solver._max_norm(_gradient_arrays(prob, u))
+                ref = solver._max_norm(_gradient_arrays(prob._ops, u))
                 assert abs(res - ref) <= 1e-12 * ref
 
 
@@ -364,7 +367,7 @@ class TestBlocks:
             ft=random_field(spec, rng),
             alpha=rng.uniform(0.1, 100.0),
         )
-        block = solver._probe(solver._homogeneous(prob), solver._STENCIL[:1])[0]
+        block = solver._probe(a_bundle(prob), solver._STENCIL[:1])[0]
         assert_block_solve_inverts(block, rng.standard_normal((2,) + spec.shape))
 
     # one bad point among SPD blocks: a negative a11 with a positive
@@ -387,9 +390,9 @@ def cg_run(steps, prob, u0, limit=500, floor=1e-13):
     """The residuals a CG step generator yields from ``u0``, up to ``limit``
     or once one falls below ``floor``, and the flow it leaves."""
     u = u0.copy()
-    g = _gradient_arrays(prob, u)
+    g = _gradient_arrays(prob._ops, u)
     residuals = []
-    generator = steps(solver._homogeneous(prob), g, u)
+    generator = steps(a_bundle(prob), g, u)
     for res in itertools.islice(generator, limit):
         residuals.append(res)
         if res < floor:
@@ -447,17 +450,29 @@ class TestMaxNorm:
         assert math.isnan(solver._max_norm(x))
 
 
-class TestHomogeneous:
-    def test_shares_the_problem_and_skips_its_checks(self, monkeypatch, rng):
+class TestABundle:
+    def test_shares_every_array_but_a_zero_ft(self, monkeypatch, rng):
+        # the bundle each method probes A from is the problem's own, built
+        # once, with ft replaced by zeros and nothing rebuilt or checked again
         prob = drawn_problem(7, 5, "evolving", rng)
-        calls = []
-        monkeypatch.setattr(FlowProblem, "__post_init__", lambda self: calls.append(self))
-        homogeneous = solver._homogeneous(prob)
-        assert calls == []
-        assert homogeneous.geom is prob.geom
-        assert homogeneous.fx1 is prob.fx1 and homogeneous.fx2 is prob.fx2
-        assert homogeneous.alpha == prob.alpha
-        assert homogeneous.ft.spec == prob.spec and np.all(homogeneous.ft.values == 0.0)
+        probed_bundles = []
+        original = solver._probe
+        monkeypatch.setattr(
+            solver, "_probe", lambda ops, offsets: probed_bundles.append(ops) or original(ops, offsets)
+        )
+        for module in (model, solver):
+            monkeypatch.setattr(module, "_operands", lambda *args: pytest.fail("bundle rebuilt"))
+        for method in ("sor", "cg"):
+            solve(prob, SolverConfig(method=method, max_iter=2))
+        ops = prob._ops
+        assert len(probed_bundles) == 2
+        for homogeneous in probed_bundles:
+            assert type(homogeneous) is type(ops)
+            for name in ops._fields:
+                if name != "ft":
+                    assert getattr(homogeneous, name) is getattr(ops, name), name
+            assert homogeneous.ft.shape == prob.spec.shape and np.all(homogeneous.ft == 0.0)
+            assert not np.any(np.signbit(homogeneous.ft))
         assert np.any(prob.ft.values != 0.0)
 
 
@@ -672,7 +687,7 @@ class TestSolve:
         assert report.stop_reason == "converged" and not report.converged
         assert report.grad_inf_norm > 1e-15
         assert report.grad_inf_norm == solver._max_norm(
-            _gradient_arrays(prob, np.stack((flow.u1.values, flow.u2.values)))
+            _gradient_arrays(prob._ops, np.stack((flow.u1.values, flow.u2.values)))
         )
 
     @pytest.mark.parametrize("method", ["sor", "cg"])
@@ -752,9 +767,7 @@ class TestNestedStart:
         rows, cols = np.indices(fine.shape)
         exact = np.stack([a + b * rows + c * cols + d * rows * cols
                           for a, b, c, d in (coeffs[:4], coeffs[4:])]).astype(float)
-        coarse = VectorField.from_arrays(
-            GridSpec(width, height, h=2.0), exact[0, ::2, ::2], exact[1, ::2, ::2]
-        )
+        coarse = exact[:, ::2, ::2].copy()
         *levels, last = counts or [0]
         report = SolverReport(method="cg", converged=True, iterations=last, energy_initial=0.0,
                               energy_final=0.0, grad_inf_norm=0.0, coarse_iterations=tuple(levels))
@@ -766,17 +779,46 @@ class TestNestedStart:
     def test_coarsening_samples_every_other_point(self, surface):
         rng = np.random.default_rng(7)
         prob = drawn_problem(129, 131, surface, rng)
-        names = [f.name for f in dataclasses.fields(prob.geom) if f.name != "spec"]
-        fields = [(prob, n) for n in ("fx1", "fx2", "ft")] + [(prob.geom, n) for n in names]
-        before = [getattr(owner, n).values.copy() for owner, n in fields]
-        coarse = solver._coarsen(prob)
+        ops = prob._ops
+        tables = lambda ops: [ops.gamma[i][j][k] for i, j, k in itertools.product(range(2), repeat=3)]
+        arrays = lambda ops: [ops.sqrt_detg, ops.fx1, ops.fx2, ops.ft] + tables(ops)
+        before = [a.copy() for a in arrays(ops)]
+        coarse = solver._coarsen(ops)
         spec = prob.spec
-        assert coarse.spec == GridSpec(66, 65, h=2.0 * spec.h, dt=spec.dt)
+        coarse_spec = GridSpec(66, 65, h=2.0 * spec.h, dt=spec.dt)
+        assert coarse.spec == coarse_spec
         assert coarse.alpha == prob.alpha
-        for (owner, name), values in zip(fields, before):
-            mine = getattr(coarse if owner is prob else coarse.geom, name).values
-            assert same_bits(mine, values[::2, ::2])
-            assert same_bits(getattr(owner, name).values, values)
+        for mine, fine, values in zip(arrays(coarse), arrays(ops), before):
+            assert same_bits(mine, values[::2, ::2]) and mine.flags.c_contiguous
+            assert same_bits(fine, values)
+        # w and alpha w are those of the problem on the sampled fields at 2h,
+        # recomputed from (2h)^2 rather than sampled and scaled by 4
+        sample = lambda field: ScalarField(coarse_spec, field.values[::2, ::2])
+        geom = prob.geom
+        sampled = {f.name: sample(getattr(geom, f.name))
+                   for f in dataclasses.fields(geom) if f.name != "spec"}
+        geom = dataclasses.replace(geom, spec=coarse_spec, **sampled)
+        data = (sample(field) for field in (prob.fx1, prob.fx2, prob.ft))
+        ref = FlowProblem(geom, *data, prob.alpha)._ops
+        assert same_bits(coarse.w, ref.w) and same_bits(coarse.alpha_w, ref.alpha_w)
+        for mine, theirs in zip(arrays(coarse), arrays(ref)):
+            assert same_bits(mine, theirs)
+
+    def test_coarse_level_failing_its_checks_starts_from_zero(self):
+        # h^2 is finite but (2h)^2 overflows, so the coarse bundle fails the
+        # weight check that the problem passed: the solve starts from zero
+        spec = GridSpec(67, 67, h=1e154)
+        draws = np.random.default_rng(0)
+        frame_a, frame_b = (ScalarField(spec, 1e-6 * draws.standard_normal(spec.shape))
+                            for _ in range(2))
+        prob = problem_from_frames(frame_a, frame_b, alpha=1.0)
+        assert solver._coarsen(prob._ops) is None
+        config = SolverConfig(method="cg", max_iter=3)
+        flow, report = solve(prob, config)
+        zero_flow, zero_report = solve(prob, config, u0=VectorField.zeros(spec))
+        assert report.coarse_iterations == () and report == zero_report
+        assert same_bits(flow.u1.values, zero_flow.u1.values)
+        assert same_bits(flow.u2.values, zero_flow.u2.values)
 
     @pytest.mark.parametrize("height, width", [(129, 129), (129, 131)])
     @pytest.mark.parametrize("surface", ["flat", "curved", "evolving"])
@@ -901,3 +943,60 @@ class TestNaturalBoundaryConditions:
         u = random_vector_field(spec, rng)
         residual = check_natural_bc(geom, u)
         assert np.all(residual.values[1:-1, 1:-1] == 0.0)
+
+
+def polynomial_problem(width, height, h, curved):
+    """A frame pair and a height field from rational functions of the grid
+    coordinates, centred on the grid; +, -, *, / and sqrt alone set their bits,
+    so no libm routine does.  Returns the problem and the coordinates."""
+    spec = GridSpec(width, height, h=h)
+    x1, x2 = coordinate_arrays(spec, origin=(-(width - 1) * h / 2, -(height - 1) * h / 2))
+
+    def frame(shift):
+        y1, y2 = x1 - shift, x2 - 0.5 * shift
+        values = 1.0 / (1.0 + y1 * y1 + 2.0 * y2 * y2) + 0.5 * y1 * y2 / (4.0 + y1 * y1 + y2 * y2)
+        return ScalarField(spec, values)
+
+    z = 0.125 * (x1 * x1 - x1 * x2 + 0.5 * x2 * x2) if curved else 0.0 * x1
+    geom = build_geometry(ScalarField(spec, z))
+    return problem_from_frames(frame(0.0), frame(0.25), geom, alpha=10.0), x1, x2
+
+
+def flow_digest(field):
+    return hashlib.sha256(np.stack((field.u1.values, field.u2.values)).tobytes()).hexdigest()
+
+
+class TestPinnedBits:
+    """CG solves and the energy at fixed inputs, bit for bit: a change that
+    keeps every iterate keeps these; one that moves a rounding does not."""
+
+    @pytest.mark.parametrize(
+        "width, height, h, curved, expected",
+        [
+            (17, 13, 0.5, False, (
+                "0x1.fca51552c6400p-3", "0x1.e684d6893b412p-7", "0x1.0bb75fb794000p-20", 49, (),
+                "19762129c0455128c18cad5d30491f513405c459e5d2c9d91eb5cd3743179320")),
+            (17, 13, 0.5, True, (
+                "0x1.075d4402b44b9p-2", "0x1.0d1333d3923aap-6", "0x1.c10caeb9ed200p-21", 58, (),
+                "cce6b13ee18ebd04c456ae469f30c897ee564ea9ef92846f5fc9f483475c1359")),
+            # both sides odd and above 65: the nested start
+            (131, 129, 1 / 16, True, (
+                "0x1.e6766326a73c6p-7", "0x1.e62933a6968dap-7", "0x1.fd6ff2e4a731bp-21", 65, (161,),
+                "683c9f57ac9632bb49a4c12a99a13ad4afc00a59300e33b50179d1e81d337b43")),
+        ],
+        ids=["flat-17x13", "curved-17x13", "curved-131x129"],
+    )
+    def test_cg_solve(self, width, height, h, curved, expected):
+        prob, _, _ = polynomial_problem(width, height, h, curved)
+        flow, r = solve(prob, SolverConfig(method="cg"))
+        mine = (r.energy_initial.hex(), r.energy_final.hex(), r.grad_inf_norm.hex(),
+                r.iterations, r.coarse_iterations, flow_digest(flow))
+        assert mine == expected
+
+    def test_energy_and_gradient(self):
+        prob, x1, x2 = polynomial_problem(17, 13, 0.5, True)
+        u = VectorField.from_arrays(prob.spec, 0.25 + 0.01 * x1 * x2, -0.125 * x2 / (1.0 + x1 * x1))
+        assert energy(prob, u).hex() == "0x1.c5c3050e924dbp-2"
+        assert flow_digest(energy_gradient(prob, u)) == (
+            "0267c46c658b57577f2dbd0cb1bff54af0e2f4aba82f260059d21cd7dd1c1063"
+        )
