@@ -170,28 +170,18 @@ def cmd_synth(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    frame_paths = []
-    for k, frame in enumerate(frames):
-        name = f"frame_{k:04d}.pfm"
-        write_float_image(out / name, frame)
-        frame_paths.append(name)
+    frame_paths = tuple(f"frame_{k:04d}.pfm" for k in range(len(frames)))
     if scene.surface.time_dependent:
-        height_paths = []
-        for k, height in enumerate(heights):
-            name = f"height_{k:04d}.pfm"
-            write_float_image(out / name, height)
-            height_paths.append(name)
+        height_paths = tuple(f"height_{k:04d}.pfm" for k in range(len(heights)))
     else:
-        height_paths = ["height_static.pfm"]
-        write_float_image(out / height_paths[0], heights[0])
-    for k in range(len(frames) - 1):
-        write_flow(out / f"truth_{k:04d}_{k + 1:04d}.flo", truth[k])
+        height_paths, heights = ("height_static.pfm",), heights[:1]
+    for name, field in zip(frame_paths + height_paths, frames + heights):
+        write_float_image(out / name, field.values)
+    for k, u in enumerate(truth[:-1]):
+        write_flow(out / f"truth_{k:04d}_{k + 1:04d}.flo", u.u1.values, u.u2.values)
 
     manifest = Manifest(
-        spec=scene.spec,
-        frame_paths=tuple(frame_paths),
-        height_paths=tuple(height_paths),
-        base_dir=out,
+        spec=scene.spec, frame_paths=frame_paths, height_paths=height_paths, base_dir=out
     )
     write_manifest(out / "manifest.txt", manifest)
     print(
@@ -231,9 +221,9 @@ def cmd_flow(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     flow_path = out / f"flow_{i:04d}_{j:04d}.flo"
-    write_flow(flow_path, flow)
+    write_flow(flow_path, flow.u1.values, flow.u2.values)
     if args.color:
-        write_ppm(out / f"flow_{i:04d}_{j:04d}.ppm", colorize(flow))
+        write_ppm(out / f"flow_{i:04d}_{j:04d}.ppm", colorize(flow.u1.values, flow.u2.values))
 
     spec = manifest.spec
     text = _report(
@@ -292,7 +282,7 @@ def cmd_color(args) -> int:
     used = args.max_magnitude
     if used is None:
         used = default_max_magnitude(np.hypot(u1, u2))
-    write_ppm(args.out, colorize((u1, u2), used))
+    write_ppm(args.out, colorize(u1, u2, used))
     print(
         _report({"flow": args.flow, "out": args.out, "max_magnitude": float(used)}),
         end="",

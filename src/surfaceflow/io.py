@@ -10,17 +10,21 @@ key/value file tying a frame sequence and its height maps to one grid;
 loading one frame pair opens only its two frames and one height map.  All
 byte layouts are documented in docs/formats.md; writers are canonical
 (single possible output), so write-read round-trips are bitwise identities.
+
+The writers and :func:`colorize` take plain arrays; :func:`load_sequence`
+is the one call that returns containers, the ScalarFields a problem is built from.
 """
 
 from __future__ import annotations
 
+import re
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .grid import GridSpec, ScalarField, VectorField
+from .grid import GridSpec, ScalarField
 
 __all__ = [
     "ManifestError",
@@ -96,19 +100,17 @@ class Manifest:
 
 
 def write_manifest(path, manifest: Manifest) -> None:
+    spec, (lo, hi) = manifest.spec, manifest.intensity_range
     lines = [
         "version 1",
-        "width " + str(manifest.spec.width),
-        "height " + str(manifest.spec.height),
-        "h " + repr(manifest.spec.h),
-        "dt " + repr(manifest.spec.dt),
-        "intensity_range "
-        + repr(manifest.intensity_range[0])
-        + " "
-        + repr(manifest.intensity_range[1]),
+        f"width {spec.width}",
+        f"height {spec.height}",
+        f"h {spec.h!r}",
+        f"dt {spec.dt!r}",
+        f"intensity_range {lo!r} {hi!r}",
+        *(f"frame {p}" for p in manifest.frame_paths),
+        *(f"heightmap {p}" for p in manifest.height_paths),
     ]
-    lines.extend("frame " + p for p in manifest.frame_paths)
-    lines.extend("heightmap " + p for p in manifest.height_paths)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -144,24 +146,18 @@ def read_manifest(path) -> Manifest:
         raise ManifestError(f"{path}: version must be 1, got {scalars['version']!r}")
     try:
         spec = GridSpec(
-            width=int(scalars["width"]),
-            height=int(scalars["height"]),
+            width=_dimension(scalars["width"]),
+            height=_dimension(scalars["height"]),
             h=float(scalars["h"]),
             dt=float(scalars["dt"]),
         )
-        if "intensity_range" in scalars:
-            parts = scalars["intensity_range"].split()
-            if len(parts) != 2:
-                raise ManifestError(
-                    f"{path}: intensity_range needs two values, got {scalars['intensity_range']!r}"
-                )
-            rng = (float(parts[0]), float(parts[1]))
-        else:
-            rng = (0.0, 1.0)
-    except ManifestError:
-        raise
+        rng = tuple(float(part) for part in scalars.get("intensity_range", "0 1").split())
     except ValueError as exc:
         raise ManifestError(f"{path}: {exc}") from exc
+    if len(rng) != 2:
+        raise ManifestError(
+            f"{path}: intensity_range needs two values, got {scalars['intensity_range']!r}"
+        )
     manifest = Manifest(
         spec=spec,
         frame_paths=tuple(frames),
@@ -225,89 +221,83 @@ def load_sequence(manifest: Manifest, i: int, j: int):
 
 
 def write_float_image(path, values) -> None:
-    """Write a grayscale float map (canonical little-endian, scale -1.0).
-
-    Accepts a ScalarField or a 2-d array; payload rows run bottom-to-top,
-    so the last array row is written first.
-    """
-    if isinstance(values, ScalarField):
-        values = values.values
+    """Write a 2-d array as a grayscale float map (canonical little-endian,
+    scale -1.0); payload rows run bottom-to-top, so the last array row is
+    written first."""
     values = np.asarray(values)
     if values.ndim != 2:
         raise FloatImageError(f"expected a 2-d array, got shape {values.shape}")
     height, width = values.shape
-    header = f"Pf\n{width} {height}\n-1.0\n".encode("ascii")
-    payload = np.flipud(values).astype("<f4", order="C")
+    _write(path, f"Pf\n{width} {height}\n-1.0\n".encode("ascii"), np.flipud(values).astype("<f4"))
+
+
+def _write(path, header: bytes, payload: np.ndarray) -> None:
+    """Write ``header``, then ``payload``'s bytes in C order, with no joined copy."""
     with open(path, "wb") as f:
         f.write(header)
-        f.write(payload)
+        f.write(np.ascontiguousarray(payload))
 
 
 def read_float_image(path) -> np.ndarray:
     """Read a grayscale float map; returns float64 values, exactly as stored."""
     data = Path(path).read_bytes()
-    magic, offset = _token(data, 0, path)
+    header = _FLOAT_MAP_HEADER.match(data)
+    if header is None:
+        raise FloatImageError(f"{path}: truncated header")
+    magic, wtok, htok, stok = header.groups()
     if magic == b"PF":
         raise FloatImageError(f"{path}: color float maps are not supported")
     if magic != b"Pf":
         raise FloatImageError(f"{path}: not a float map (leading token {magic!r})")
-    wtok, offset = _token(data, offset, path)
-    htok, offset = _token(data, offset, path)
-    stok, offset = _token(data, offset, path)
     try:
-        width, height = int(wtok), int(htok)
-        scale = float(stok)
+        width, height, scale = _dimension(wtok), _dimension(htok), float(stok)
     except ValueError as exc:
         raise FloatImageError(f"{path}: malformed header: {exc}") from exc
     if width <= 0 or height <= 0:
         raise FloatImageError(f"{path}: non-positive dimensions {width}x{height}")
     if not (np.isfinite(scale) and scale != 0.0):
         raise FloatImageError(f"{path}: scale token must be finite and non-zero, got {scale}")
-    expected = 4 * width * height
-    payload = data[offset:]
-    if len(payload) != expected:
-        raise FloatImageError(
-            f"{path}: payload is {len(payload)} bytes, expected {expected}"
-        )
+    size, expected = len(data) - header.end(), 4 * width * height
+    if size != expected:
+        raise FloatImageError(f"{path}: payload is {size} bytes, expected {expected}")
     dtype = "<f4" if scale < 0 else ">f4"
-    rows = np.frombuffer(payload, dtype=dtype).reshape(height, width)
+    rows = np.frombuffer(data, dtype, offset=header.end()).reshape(height, width)
     values = np.flipud(rows).astype(np.float64)
     if not np.all(np.isfinite(values)):
         raise FloatImageError(f"{path}: non-finite samples")
     return values
 
 
-def _token(data: bytes, offset: int, path) -> tuple[bytes, int]:
-    """Next whitespace-delimited header token and the offset just past its
-    single terminating whitespace byte."""
-    while offset < len(data) and data[offset : offset + 1].isspace():
-        offset += 1
-    start = offset
-    while offset < len(data) and not data[offset : offset + 1].isspace():
-        offset += 1
-    if start == offset or offset >= len(data):
-        raise FloatImageError(f"{path}: truncated header")
-    return data[start:offset], offset + 1
+# magic, width, height and scale, then the one whitespace byte before the payload
+_FLOAT_MAP_HEADER = re.compile(rb"\s*(\S+)\s+(\S+)\s+(\S+)\s+(\S+)\s")
 
 
-def write_flow(path, u, u2=None) -> None:
-    """Write a flow field; accepts a VectorField or two component arrays."""
-    if isinstance(u, VectorField):
-        u1_values, u2_values = u.u1.values, u.u2.values
-    else:
-        if u2 is None:
-            raise ValueError("pass a VectorField or both component arrays")
-        u1_values, u2_values = np.asarray(u), np.asarray(u2)
-        if u1_values.shape != u2_values.shape or u1_values.ndim != 2:
-            raise ValueError("component arrays must share one 2-d shape")
-    height, width = u1_values.shape
+def _dimension(token) -> int:
+    """A width or height token (str or bytes) as an int: ASCII decimal digits
+    only, where ``int`` alone takes a sign, ``_`` and non-ASCII digits too."""
+    if not (token.isascii() and token.isdigit()):
+        raise ValueError(f"dimensions must be ASCII decimal digits, got {token!r}")
+    return int(token)
+
+
+def _components(u1, u2, dtype=None) -> tuple[np.ndarray, np.ndarray]:
+    """The two flow components as arrays; ValueError unless their shapes match."""
+    u1, u2 = np.asarray(u1, dtype), np.asarray(u2, dtype)
+    if u1.shape != u2.shape:
+        raise ValueError(f"flow components differ in shape: {u1.shape} and {u2.shape}")
+    return u1, u2
+
+
+def write_flow(path, u1, u2) -> None:
+    """Write a flow file from its two 2-d component arrays."""
+    u1, u2 = _components(u1, u2)
+    if u1.ndim != 2:
+        raise ValueError(f"flow components must be 2-d, got shape {u1.shape}")
+    height, width = u1.shape
     samples = np.empty((height, width, 2), dtype="<f4")
-    samples[..., 0] = u1_values
-    samples[..., 1] = u2_values
-    header = struct.pack("<fii", FLOW_MAGIC, width, height)
-    with open(path, "wb") as f:
-        f.write(header)
-        f.write(samples)
+    samples[..., 0] = u1
+    samples[..., 1] = u2
+    _write(path, struct.pack("<fii", FLOW_MAGIC, width, height), samples)
 
 
 def read_flow(path):
@@ -324,11 +314,9 @@ def read_flow(path):
     if len(data) != expected:
         raise FlowFileError(f"{path}: {len(data)} bytes, expected exactly {expected}")
     samples = np.frombuffer(data, dtype="<f4", offset=12).reshape(height, width, 2)
-    u1 = samples[..., 0].astype(np.float64)
-    u2 = samples[..., 1].astype(np.float64)
-    if not (np.all(np.isfinite(u1)) and np.all(np.isfinite(u2))):
+    if not np.all(np.isfinite(samples)):
         raise FlowFileError(f"{path}: non-finite samples")
-    return u1, u2
+    return samples[..., 0].astype(np.float64), samples[..., 1].astype(np.float64)
 
 
 def _make_color_wheel() -> np.ndarray:
@@ -373,18 +361,16 @@ def default_max_magnitude(rad: np.ndarray) -> float:
     return scale if scale > 0.0 else 1.0
 
 
-def colorize(u, max_magnitude: float | None = None) -> np.ndarray:
-    """Map a flow field to RGB: hue from direction, darkness from magnitude.
+def colorize(u1, u2, max_magnitude: float | None = None) -> np.ndarray:
+    """Map a flow's component arrays (of one shape) to RGB: hue from
+    direction, darkness from magnitude.
 
     Zero vectors map to white and saturation reaches the pure wheel color at
     ``max_magnitude`` (longer vectors are clipped).  When ``max_magnitude``
     is omitted :func:`default_max_magnitude` picks it; an all-zero field
     then renders as a uniform white image.
     """
-    if isinstance(u, VectorField):
-        u1_values, u2_values = u.u1.values, u.u2.values
-    else:
-        u1_values, u2_values = (np.asarray(c, dtype=float) for c in u)
+    u1_values, u2_values = _components(u1, u2, float)
     if max_magnitude is None:
         max_magnitude = default_max_magnitude(np.hypot(u1_values, u2_values))
     elif not (np.isfinite(max_magnitude) and max_magnitude > 0.0):
@@ -418,5 +404,4 @@ def write_ppm(path, rgb: np.ndarray) -> None:
     if rgb.ndim != 3 or rgb.shape[2] != 3 or rgb.dtype != np.uint8:
         raise ValueError(f"expected a uint8 (height, width, 3) image, got {rgb.dtype} {rgb.shape}")
     height, width = rgb.shape[:2]
-    header = f"P6\n{width} {height}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + rgb.tobytes())
+    _write(path, f"P6\n{width} {height}\n255\n".encode("ascii"), rgb)

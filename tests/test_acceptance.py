@@ -332,9 +332,9 @@ def test_8_format_golden_files(tmp_path):
 
     ones = np.ones((2, 2))
     zeros = np.zeros((2, 2))
-    white = np.all(colorize((zeros, zeros)) == 255)
-    forward = colorize((ones, zeros), max_magnitude=1.0)[0, 0]
-    backward = colorize((-ones, zeros), max_magnitude=1.0)[0, 0]
+    white = np.all(colorize(zeros, zeros) == 255)
+    forward = colorize(ones, zeros, max_magnitude=1.0)[0, 0]
+    backward = colorize(-ones, zeros, max_magnitude=1.0)[0, 0]
     separation = (wheel_position(-1.0, 0.0) - wheel_position(1.0, 0.0)) % 54.0
     checks.append(
         bool(white)

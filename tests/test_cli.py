@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import filecmp
+import hashlib
 import io
 import math
 import os
@@ -17,8 +18,9 @@ import surfaceflow.cli
 import surfaceflow.io
 from surfaceflow.cli import angular_error_deg, endpoint_error, main
 from surfaceflow.geometry import build_geometry
-from surfaceflow.grid import ScalarField, VectorField
+from surfaceflow.grid import GridSpec, ScalarField, VectorField
 from surfaceflow.io import (
+    Manifest,
     ManifestError,
     colorize,
     load_sequence,
@@ -27,6 +29,7 @@ from surfaceflow.io import (
     read_manifest,
     write_float_image,
     write_flow,
+    write_manifest,
     write_ppm,
 )
 from surfaceflow.model import FlowProblem, energy, energy_gradient, problem_from_frames
@@ -267,6 +270,17 @@ class TestFlowCommand:
         assert code == 4
         assert capsys.readouterr().err == f"error: {manifest}: version must be 1, got '2'\n"
 
+    def test_non_ascii_dimension_is_io_error(self, tmp_path, capsys, translation_dir):
+        manifest = translation_dir / "manifest.txt"
+        text = manifest.read_text(encoding="utf-8")
+        assert "\nheight 49\n" in text
+        # full-width digits, which int() alone reads as 49
+        manifest.write_text(text.replace("\nheight 49\n", "\nheight ４９\n"), encoding="utf-8")
+        code = main(["flow", "--manifest", str(manifest), "--out", str(tmp_path / "x")])
+        assert code == 4
+        assert "ASCII decimal digits" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_alpha_zero_rejected_at_parsing(self, tmp_path, capsys, translation_dir):
         code = main(
             [
@@ -387,7 +401,7 @@ class TestFlowCommand:
         z_next = ScalarField(height_0.spec, read_float_image(scene / "height_0002.pfm"))
         geom = build_geometry(height_0, z_next, dt=2.0)
         flow, _ = solve(problem_from_frames(frame_0, frame_2, geom, dt=2.0), SolverConfig())
-        write_flow(tmp_path / "library.flo", flow)
+        write_flow(tmp_path / "library.flo", flow.u1.values, flow.u2.values)
         assert (out / "flow_0000_0002.flo").read_bytes() == (tmp_path / "library.flo").read_bytes()
 
     # an infinite step is a manifest error; a finite spacing whose square
@@ -529,7 +543,7 @@ class TestLongSequence:
         geom = build_geometry(field("height_0057.pfm"))
         problem = problem_from_frames(field("frame_0057.pfm"), field("frame_0058.pfm"), geom)
         flow, _ = solve(problem, SolverConfig())
-        write_flow(tmp_path / "library.flo", flow)
+        write_flow(tmp_path / "library.flo", flow.u1.values, flow.u2.values)
         assert (tmp_path / "library.flo").read_bytes() == cli_bytes
 
     def test_unread_frame_is_not_checked(self, tmp_path, capsys, long_bump):
@@ -653,7 +667,7 @@ class TestColorCommand:
         expected = float(np.percentile(np.hypot(u1, u2), 99)) if scale else 1.0
         assert float(report["max_magnitude"]) == expected
         reference = tmp_path / "reference.ppm"
-        write_ppm(reference, colorize((u1, u2)))
+        write_ppm(reference, colorize(u1, u2))
         assert out.read_bytes() == reference.read_bytes()
 
     def test_corrupt_flow_is_io_error(self, tmp_path, capsys):
@@ -693,6 +707,55 @@ class TestEvalCommand:
         code = main(["eval", "--flow", str(a), "--truth", str(b)])
         capsys.readouterr()
         assert code == 2
+
+
+class TestPinnedBytes:
+    """A polynomial 17x13 dataset written through the file layer, then CG's
+    flow file and report and the energy report on that flow, byte for byte.
+    SOR (its einsum order) and ``color`` and ``eval`` (libm's atan2 and
+    hypot) may round differently between numpy builds, so they are left out."""
+
+    def test_cg_flow_and_energy(self, tmp_path, capsys):
+        spec = GridSpec(17, 13, h=0.5)
+        x2, x1 = 0.5 * np.mgrid[-6:7, -8:9]
+
+        def frame(shift):
+            y1, y2 = x1 - shift, x2 - 0.5 * shift
+            return 1.0 / (1.0 + y1 * y1 + 2.0 * y2 * y2) + 0.5 * y1 * y2 / (4.0 + y1 * y1 + y2 * y2)
+
+        fields = {
+            "frame_0000.pfm": frame(0.0),
+            "frame_0001.pfm": frame(0.25),
+            "height_0000.pfm": 0.125 * (x1 * x1 - x1 * x2 + 0.5 * x2 * x2),
+            "height_0001.pfm": 0.125 * (x1 * x1 - x1 * x2 + 0.5 * x2 * x2) + 0.0625 * x1,
+        }
+        for name, values in fields.items():
+            write_float_image(tmp_path / name, values)
+        names = sorted(fields)
+        write_manifest(tmp_path / "manifest.txt", Manifest(spec, tuple(names[:2]), tuple(names[2:])))
+        manifest, out = str(tmp_path / "manifest.txt"), tmp_path / "out"
+
+        code, report = run_cli(capsys, "flow", "--manifest", manifest, "--method", "cg", "--out", str(out))
+        assert code == 0
+        flo = out / "flow_0000_0001.flo"
+        pinned = (hashlib.sha256(flo.read_bytes()).hexdigest(), report["iterations"],
+                  report["energy_final"], report["grad_inf_norm"])
+        assert pinned == (
+            "a96bc702e21327ce67da3e16a24bc58ad85f91c6d3fb6a745fba08b589c2aa08",
+            "58",
+            "0.016423043718389284",
+            "8.364189917288347e-07",
+        )
+
+        code, report = run_cli(capsys, "energy", "--manifest", manifest, "--flow", str(flo))
+        assert code == 0
+        assert report == {
+            "frame_a": "0",
+            "frame_b": "1",
+            "alpha": "10.0",
+            "energy": "0.01642304371839686",
+            "grad_inf_norm": "8.43773238532494e-07",
+        }
 
 
 class TestParserReuse:

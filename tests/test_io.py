@@ -52,13 +52,6 @@ class TestFloatImage:
         write_float_image(path, loaded)
         assert path.read_bytes() == first
 
-    def test_scalar_field_input(self, tmp_path):
-        spec = GridSpec(4, 3)
-        field = ScalarField.constant(spec, 2.5)
-        path = tmp_path / "f.pfm"
-        write_float_image(path, field)
-        assert np.array_equal(read_float_image(path), field.values)
-
     def test_exact_byte_layout(self, tmp_path):
         path = tmp_path / "zeros.pfm"
         write_float_image(path, np.zeros((3, 3)))
@@ -68,9 +61,7 @@ class TestFloatImage:
         assert len(data) == len(header) + 36
         assert data[len(header):] == b"\x00" * 36
 
-    @pytest.mark.parametrize(
-        "layout", ["c-order", "fortran-order", "strided", "float32", "scalar-field"]
-    )
+    @pytest.mark.parametrize("layout", ["c-order", "fortran-order", "strided", "float32"])
     def test_matches_concatenated_bytes(self, tmp_path, rng, layout):
         """Header, then payload: the bytes of ``header + payload.tobytes()``."""
         values = rng.standard_normal((5, 7))
@@ -79,11 +70,9 @@ class TestFloatImage:
             "fortran-order": np.asfortranarray(values),
             "strided": rng.standard_normal((10, 21))[::-2, ::3],
             "float32": values.astype(np.float32),
-            "scalar-field": ScalarField(GridSpec(7, 5), values),
         }[layout]
-        array = arg.values if isinstance(arg, ScalarField) else arg
         write_float_image(tmp_path / "f.pfm", arg)
-        expected = b"Pf\n7 5\n-1.0\n" + np.flipud(array).astype("<f4").tobytes()
+        expected = b"Pf\n7 5\n-1.0\n" + np.flipud(arg).astype("<f4").tobytes()
         assert (tmp_path / "f.pfm").read_bytes() == expected
 
     def test_big_endian_file(self, tmp_path):
@@ -107,6 +96,11 @@ class TestFloatImage:
             b"Pf\n2 2\nnan\n" + b"\x00" * 16,
             b"Pf\n2 2\ninf\n" + b"\x00" * 16,
             b"Pf\n2 2\n-inf\n" + b"\x00" * 16,
+            # dimensions are ASCII decimal digits: no "_", sign or other digits
+            b"Pf\n1_0 1\n-1.0\n" + b"\x00" * 40,
+            b"Pf\n+2 2\n-1.0\n" + b"\x00" * 16,
+            b"Pf\n2 +2\n-1.0\n" + b"\x00" * 16,
+            "Pf\n２ 2\n-1.0\n".encode() + b"\x00" * 16,
         ],
     )
     def test_malformed_rejected(self, tmp_path, content):
@@ -132,7 +126,7 @@ class TestFlowFile:
             ScalarField(spec, rng.standard_normal((5, 6)).astype(np.float32).astype(float)),
         )
         path = tmp_path / "flow.flo"
-        write_flow(path, u)
+        write_flow(path, u.u1.values, u.u2.values)
         u1, u2 = read_flow(path)
         assert np.array_equal(u1, u.u1.values)
         assert np.array_equal(u2, u.u2.values)
@@ -149,9 +143,7 @@ class TestFlowFile:
         assert struct.unpack("<f", data[:4])[0] == FLOW_MAGIC
         assert data[:4] == b"PIEH"
 
-    @pytest.mark.parametrize(
-        "layout", ["c-order", "fortran-order", "strided", "float32", "vector-field"]
-    )
+    @pytest.mark.parametrize("layout", ["c-order", "fortran-order", "strided", "float32"])
     def test_matches_concatenated_bytes(self, tmp_path, rng, layout):
         """Header, then samples: the bytes of ``header + samples.tobytes()``."""
         u1, u2 = rng.standard_normal((2, 5, 7))
@@ -160,13 +152,9 @@ class TestFlowFile:
             "fortran-order": (np.asfortranarray(u1), np.asfortranarray(u2)),
             "strided": tuple(rng.standard_normal((2, 10, 21))[:, ::-2, ::3]),
             "float32": (u1.astype(np.float32), u2.astype(np.float32)),
-            "vector-field": (VectorField.from_arrays(GridSpec(7, 5), u1, u2),),
         }[layout]
         write_flow(tmp_path / "f.flo", *args)
-        if layout == "vector-field":
-            u1, u2 = args[0].u1.values, args[0].u2.values
-        else:
-            u1, u2 = args
+        u1, u2 = args
         samples = np.empty((5, 7, 2), dtype="<f4")
         samples[..., 0] = u1
         samples[..., 1] = u2
@@ -264,6 +252,30 @@ class TestManifest:
         lines = [l for l in path.read_text().splitlines() if not l.startswith("dt")]
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ManifestError, match="dt"):
+            read_manifest(path)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("width", "x"),
+            ("width", "4.0"),
+            # int() alone would read these three as 40, 4 and 5
+            ("width", "4_0"),
+            ("width", "+4"),
+            ("height", "５"),
+            ("h", "nope"),
+            ("dt", "-1"),
+            ("intensity_range", "0"),
+            ("intensity_range", "0 1 2"),
+            ("intensity_range", "a b"),
+        ],
+    )
+    def test_invalid_value_rejected(self, tmp_path, key, value):
+        self.make_manifest(tmp_path)
+        path = tmp_path / "manifest.txt"
+        lines = [l for l in path.read_text().splitlines() if not l.startswith(key + " ")]
+        path.write_text("\n".join(lines + [f"{key} {value}"]) + "\n", encoding="utf-8")
+        with pytest.raises(ManifestError, match="manifest.txt: "):
             read_manifest(path)
 
     def test_comments_and_blank_lines_ignored(self, tmp_path):
@@ -431,39 +443,39 @@ class TestColorWheel:
 
 class TestColorize:
     def test_zero_flow_is_white(self):
-        img = colorize((np.zeros((4, 4)), np.zeros((4, 4))))
+        img = colorize(np.zeros((4, 4)), np.zeros((4, 4)))
         assert img.dtype == np.uint8
         assert np.all(img == 255)
 
     def test_unit_flow_is_pure_red(self):
-        img = colorize((np.ones((3, 3)), np.zeros((3, 3))), max_magnitude=1.0)
+        img = colorize(np.ones((3, 3)), np.zeros((3, 3)), max_magnitude=1.0)
         assert np.all(img.reshape(-1, 3) == np.array([255, 0, 0], dtype=np.uint8))
 
     def test_opposite_fields_are_half_a_wheel_apart(self):
         ones = np.ones((2, 2))
         zeros = np.zeros((2, 2))
-        forward = colorize((ones, zeros), max_magnitude=1.0)
-        backward = colorize((-ones, zeros), max_magnitude=1.0)
+        forward = colorize(ones, zeros, max_magnitude=1.0)
+        backward = colorize(-ones, zeros, max_magnitude=1.0)
         assert tuple(forward[0, 0]) == tuple(COLOR_WHEEL[0].astype(np.uint8))
         assert tuple(backward[0, 0]) == tuple(COLOR_WHEEL[27].astype(np.uint8))
         sep = (wheel_position(-1.0, 0.0) - wheel_position(1.0, 0.0)) % 54.0
         assert sep == 27.0
 
     def test_magnitude_scales_toward_white(self):
-        img_half = colorize((np.full((2, 2), 0.5), np.zeros((2, 2))), max_magnitude=1.0)
+        img_half = colorize(np.full((2, 2), 0.5), np.zeros((2, 2)), max_magnitude=1.0)
         # half magnitude sits halfway between white and pure red
         assert tuple(img_half[0, 0]) == (255, 127, 127)
 
     def test_clipping_beyond_max(self):
-        img = colorize((np.full((2, 2), 10.0), np.zeros((2, 2))), max_magnitude=1.0)
+        img = colorize(np.full((2, 2), 10.0), np.zeros((2, 2)), max_magnitude=1.0)
         assert tuple(img[0, 0]) == (255, 0, 0)
 
     def test_auto_normalization_uses_percentile(self, rng):
         u1 = np.ones((10, 10))
         u1[0, 0] = 1000.0
         u2 = np.zeros((10, 10))
-        auto = colorize((u1, u2))
-        explicit = colorize((u1, u2), max_magnitude=float(np.percentile(np.hypot(u1, u2), 99)))
+        auto = colorize(u1, u2)
+        explicit = colorize(u1, u2, max_magnitude=float(np.percentile(np.hypot(u1, u2), 99)))
         assert np.array_equal(auto, explicit)
 
     @pytest.mark.parametrize("scale", [np.nan, np.inf, 0.0, -1.0])
@@ -471,7 +483,7 @@ class TestColorize:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="max_magnitude"):
-                colorize((np.ones((2, 2)), np.zeros((2, 2))), max_magnitude=scale)
+                colorize(np.ones((2, 2)), np.zeros((2, 2)), max_magnitude=scale)
 
     @given(
         height=st.integers(1, 6),
@@ -491,27 +503,23 @@ class TestColorize:
         zero = np.zeros(shape)
         for v1, v2 in ((u1, u2), (zero, zero)):
             expected = broadcast_colorize(v1, v2, max_magnitude)
-            assert np.array_equal(colorize((v1, v2), max_magnitude), expected)
+            assert np.array_equal(colorize(v1, v2, max_magnitude), expected)
             scale = default_max_magnitude(np.hypot(v1, v2))
-            assert np.array_equal(colorize((v1, v2)), broadcast_colorize(v1, v2, scale))
+            assert np.array_equal(colorize(v1, v2), broadcast_colorize(v1, v2, scale))
 
     @pytest.mark.parametrize("shape", [(70, 130), (3, 9000), (20000,)])
     def test_strips_match_broadcast_reference(self, rng, shape):
         # grids of several row strips, a partial last one, one-row strips of a
         # wide grid, and a flat array
         u1, u2 = 2.0 * rng.standard_normal(shape), 2.0 * rng.standard_normal(shape)
-        assert np.array_equal(colorize((u1, u2), 1.5), broadcast_colorize(u1, u2, 1.5))
+        assert np.array_equal(colorize(u1, u2, 1.5), broadcast_colorize(u1, u2, 1.5))
 
-    def test_vector_field_input(self, rng):
-        spec = GridSpec(4, 4)
-        u = VectorField(
-            spec,
-            ScalarField(spec, rng.standard_normal((4, 4))),
-            ScalarField(spec, rng.standard_normal((4, 4))),
-        )
-        as_field = colorize(u, max_magnitude=2.0)
-        as_arrays = colorize((u.u1.values, u.u2.values), max_magnitude=2.0)
-        assert np.array_equal(as_field, as_arrays)
+    @pytest.mark.parametrize("shapes", [((4, 4), (1, 4)), ((1, 4), (4, 4)), ((4, 4), (4,))])
+    def test_components_of_different_shapes_rejected(self, shapes):
+        # broadcasting one component against the other would render a
+        # flow that was never given
+        with pytest.raises(ValueError, match="differ in shape"):
+            colorize(*(np.ones(shape) for shape in shapes))
 
 
 class TestPpm:
@@ -521,6 +529,18 @@ class TestPpm:
         write_ppm(path, img)
         data = path.read_bytes()
         assert data == b"P6\n4 2\n255\n" + img.tobytes()
+
+    @pytest.mark.parametrize("layout", ["c-order", "fortran-order", "strided"])
+    def test_matches_concatenated_bytes(self, tmp_path, rng, layout):
+        """Header, then pixels: the bytes of ``header + rgb.tobytes()``."""
+        rgb = rng.integers(0, 256, (5, 7, 3), dtype=np.uint8)
+        arg = {
+            "c-order": rgb,
+            "fortran-order": np.asfortranarray(rgb),
+            "strided": rng.integers(0, 256, (10, 21, 3), dtype=np.uint8)[::-2, ::3],
+        }[layout]
+        write_ppm(tmp_path / "f.ppm", arg)
+        assert (tmp_path / "f.ppm").read_bytes() == b"P6\n7 5\n255\n" + arg.tobytes()
 
     def test_rejects_wrong_dtype(self, tmp_path):
         with pytest.raises(ValueError):

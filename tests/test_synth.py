@@ -244,14 +244,14 @@ class TestSampledReference:
         ref_frames, ref_heights, ref_truth = sampled_render(scene)
         for got, want in zip(frames + heights, ref_frames + ref_heights):
             np.testing.assert_array_max_ulp(got.values, want.values, maxulp=MAX_ULP)
-            write_float_image(tmp_path / "got.pfm", got)
-            write_float_image(tmp_path / "want.pfm", want)
+            write_float_image(tmp_path / "got.pfm", got.values)
+            write_float_image(tmp_path / "want.pfm", want.values)
             assert (tmp_path / "got.pfm").read_bytes() == (tmp_path / "want.pfm").read_bytes()
         for got, want in zip(truth, ref_truth):
             assert same_bits(got.u1.values, want.u1.values)
             assert same_bits(got.u2.values, want.u2.values)
-            write_flow(tmp_path / "got.flo", got)
-            write_flow(tmp_path / "want.flo", want)
+            write_flow(tmp_path / "got.flo", got.u1.values, got.u2.values)
+            write_flow(tmp_path / "want.flo", want.u1.values, want.u2.values)
             assert (tmp_path / "got.flo").read_bytes() == (tmp_path / "want.flo").read_bytes()
 
     @given(
