@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import build_geometry
+from .grid import _positive
 from .io import (
     FloatImageError,
     FlowFileError,
@@ -63,11 +64,9 @@ def angular_error_deg(u1, u2, v1, v2) -> np.ndarray:
     return np.degrees(np.arctan2(cross, dot))
 
 
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not (np.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
-    return value
+def positive(text: str) -> float:
+    """A flag's value by ``grid._positive``; argparse reports "invalid positive value"."""
+    return _positive("value", float(text))
 
 
 def _report(lines: dict) -> str:
@@ -114,9 +113,9 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--frame-b", type=int, default=None, help="second frame index j (default i+1)"
         )
-        p.add_argument("--alpha", type=_positive_float, default=FlowProblem.alpha)
+        p.add_argument("--alpha", type=positive, default=FlowProblem.alpha)
     p_flow.add_argument("--method", default=SolverConfig.method, choices=METHODS)
-    p_flow.add_argument("--tol", type=_positive_float, default=SolverConfig.tol)
+    p_flow.add_argument("--tol", type=positive, default=SolverConfig.tol)
     p_flow.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
     p_flow.add_argument("--out", required=True, help="output directory")
     p_flow.add_argument("--color", action="store_true", help="also write a PPM image")
@@ -127,7 +126,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     p_color.add_argument("--flow", required=True)
     p_color.add_argument("--out", required=True, help="output PPM path")
-    p_color.add_argument("--max-magnitude", type=_positive_float, default=None)
+    p_color.add_argument("--max-magnitude", type=positive, default=None)
 
     p_eval = sub.add_parser(
         "eval", help="compare a flow file against a truth flow file", allow_abbrev=False

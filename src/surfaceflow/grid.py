@@ -19,6 +19,8 @@ order, as scattering the stencil's terms into a zero-filled array.
 
 from __future__ import annotations
 
+import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Callable
@@ -51,12 +53,8 @@ class GridSpec:
                 f"grid must be at least 3x3 for central differences, "
                 f"got {self.width}x{self.height}"
             )
-        if not (np.isfinite(self.h) and self.h > 0):
-            raise ValueError(f"grid spacing must be finite and positive, got {self.h}")
-        if not (np.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(
-                f"temporal displacement must be finite and positive, got {self.dt}"
-            )
+        _positive("h", self.h)
+        _positive("dt", self.dt)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -70,6 +68,13 @@ def _index(name: str, value) -> int:
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _positive(name: str, value):
+    """``value`` if a real scalar in (0, inf); ``ValueError`` naming ``name`` if not."""
+    if not (isinstance(value, numbers.Real) and 0 < value < math.inf):
+        raise ValueError(f"{name} must be a positive finite real scalar, got {value!r}")
+    return value
 
 
 def coordinate_arrays(
@@ -236,8 +241,5 @@ def diff_t(frame_a: ScalarField, frame_b: ScalarField, dt: float | None = None) 
     """
     if frame_a.spec != frame_b.spec:
         raise ValueError("frames must share one grid spec")
-    if dt is None:
-        dt = frame_a.spec.dt
-    if not (np.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be finite and positive, got {dt}")
+    dt = frame_a.spec.dt if dt is None else _positive("dt", dt)
     return ScalarField(frame_a.spec, (frame_b.values - frame_a.values) / dt)

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import GridSpec, ScalarField
+from .grid import GridSpec, ScalarField, _index, _positive
 
 __all__ = [
     "ManifestError",
@@ -68,7 +68,8 @@ class Manifest:
 
     ``height_paths`` either matches ``frame_paths`` in length or holds a
     single entry for a static surface.  Paths are kept as written and
-    resolved against ``base_dir`` when loading.
+    resolved against ``base_dir`` when loading; each must be a one-line str with
+    no leading or trailing whitespace, the only paths a manifest file reads back.
     """
 
     spec: GridSpec
@@ -80,6 +81,9 @@ class Manifest:
     def __post_init__(self) -> None:
         if not self.frame_paths:
             raise ManifestError("manifest lists no frames")
+        for rel in (*self.frame_paths, *self.height_paths):
+            if not (isinstance(rel, str) and rel == rel.strip() and len(rel.splitlines()) == 1):
+                raise ManifestError(f"path {rel!r} must be a one-line str, no edge whitespace")
         if len(self.height_paths) not in (1, len(self.frame_paths)):
             raise ManifestError(
                 f"{len(self.height_paths)} height maps for "
@@ -186,7 +190,7 @@ def load_sequence(manifest: Manifest, i: int, j: int):
     values raise ManifestError naming the file; non-finite stored samples
     surface as FloatImageError from the reader, also naming the file.
     """
-    if not (0 <= i < j < manifest.frame_count):
+    if not (0 <= _index("i", i) < _index("j", j) < manifest.frame_count):
         raise ValueError(
             f"frame pair ({i}, {j}) out of range for {manifest.frame_count} frames; "
             "need 0 <= i < j < frame_count"
@@ -228,7 +232,10 @@ def write_float_image(path, values) -> None:
     if values.ndim != 2:
         raise FloatImageError(f"expected a 2-d array, got shape {values.shape}")
     height, width = values.shape
-    _write(path, f"Pf\n{width} {height}\n-1.0\n".encode("ascii"), np.flipud(values).astype("<f4"))
+    with np.errstate(over="ignore"):
+        samples = np.flipud(values).astype("<f4")
+    _finite(path, samples, FloatImageError)
+    _write(path, f"Pf\n{width} {height}\n-1.0\n".encode("ascii"), samples)
 
 
 def _write(path, header: bytes, payload: np.ndarray) -> None:
@@ -263,9 +270,14 @@ def read_float_image(path) -> np.ndarray:
     dtype = "<f4" if scale < 0 else ">f4"
     rows = np.frombuffer(data, dtype, offset=header.end()).reshape(height, width)
     values = np.flipud(rows).astype(np.float64)
-    if not np.all(np.isfinite(values)):
-        raise FloatImageError(f"{path}: non-finite samples")
+    _finite(path, values, FloatImageError)
     return values
+
+
+def _finite(path, samples: np.ndarray, error) -> None:
+    """``error`` naming ``path`` unless every sample, as read or as cast to float32, is finite."""
+    if not np.all(np.isfinite(samples)):
+        raise error(f"{path}: non-finite samples")
 
 
 # magic, width, height and scale, then the one whitespace byte before the payload
@@ -295,8 +307,10 @@ def write_flow(path, u1, u2) -> None:
         raise ValueError(f"flow components must be 2-d, got shape {u1.shape}")
     height, width = u1.shape
     samples = np.empty((height, width, 2), dtype="<f4")
-    samples[..., 0] = u1
-    samples[..., 1] = u2
+    with np.errstate(over="ignore"):
+        samples[..., 0] = u1
+        samples[..., 1] = u2
+    _finite(path, samples, FlowFileError)
     _write(path, struct.pack("<fii", FLOW_MAGIC, width, height), samples)
 
 
@@ -314,8 +328,7 @@ def read_flow(path):
     if len(data) != expected:
         raise FlowFileError(f"{path}: {len(data)} bytes, expected exactly {expected}")
     samples = np.frombuffer(data, dtype="<f4", offset=12).reshape(height, width, 2)
-    if not np.all(np.isfinite(samples)):
-        raise FlowFileError(f"{path}: non-finite samples")
+    _finite(path, samples, FlowFileError)
     return samples[..., 0].astype(np.float64), samples[..., 1].astype(np.float64)
 
 
@@ -373,8 +386,8 @@ def colorize(u1, u2, max_magnitude: float | None = None) -> np.ndarray:
     u1_values, u2_values = _components(u1, u2, float)
     if max_magnitude is None:
         max_magnitude = default_max_magnitude(np.hypot(u1_values, u2_values))
-    elif not (np.isfinite(max_magnitude) and max_magnitude > 0.0):
-        raise ValueError(f"max_magnitude must be positive and finite, got {max_magnitude}")
+    else:
+        _positive("max_magnitude", max_magnitude)
 
     rgb = np.empty(u1_values.shape + (3,), np.uint8)
     # strips of about 8k points keep each temporary near 64 KB, small enough

@@ -23,25 +23,24 @@ the order of the term-by-term formulas, so the layout changes no bit.
 
 A problem builds the arrays these sums read once, at construction, into one
 private, immutable bundle of plain arrays (``FlowProblem._ops``, built and
-checked by ``_operands``): the grid spec, alpha, sqrt(det g), the Christoffel
-table (six distinct arrays), fx1, fx2, ft, w and alpha * w.  The solver's A is
-the same bundle with a zero ft; a coarse bundle recomputes w from 2h.
+checked by ``_operands``): the grid spec, alpha, sqrt(det g), the six
+Christoffel arrays as given (G^1_11, G^1_12, G^1_22, G^2_11, G^2_12, G^2_22)
+and the table ``gamma[i][j][k]`` of the same arrays, fx1, fx2, ft, w and
+alpha * w.  The solver's A is the same bundle with a zero ft; a coarse
+bundle samples the six arrays in that order and recomputes w from 2h.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
-import numbers
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .geometry import SurfaceGeometry, flat_geometry
-from .grid import ScalarField, VectorField, diff_t, diff_x1, diff_x1_adjoint_array, diff_x1_array
-from .grid import diff_x2, diff_x2_adjoint_array, diff_x2_array
+from .grid import ScalarField, VectorField, _positive, diff_t, diff_x1, diff_x1_adjoint_array
+from .grid import diff_x1_array, diff_x2, diff_x2_adjoint_array, diff_x2_array
 
 __all__ = ["FlowProblem", "problem_from_frames", "ofc_residual", "energy", "energy_gradient"]
 
@@ -70,29 +69,25 @@ class FlowProblem:
         for name in ("fx1", "fx2", "ft"):
             if getattr(self, name).spec != spec:
                 raise ValueError(f"{name} does not match the geometry grid spec")
-        self._ops  # built here, once, so its checks run at construction
+        geom, data = self.geom, (self.fx1.values, self.fx2.values, self.ft.values)
+        gamma = [getattr(geom, f"gamma{i}_{jk}").values for i in "12" for jk in ("11", "12", "22")]
+        ops = _operands(spec, self.alpha, geom.sqrt_detg.values, gamma, *data)
+        object.__setattr__(self, "_ops", ops)
 
     @property
     def spec(self):
         return self.geom.spec
 
-    @cached_property
-    def _ops(self) -> _Operands:
-        geom, data = self.geom, (self.fx1.values, self.fx2.values, self.ft.values)
-        gamma = [getattr(geom, f"gamma{i}_{jk}").values for i in "12" for jk in ("11", "12", "22")]
-        return _operands(geom.spec, self.alpha, geom.sqrt_detg.values, gamma, *data)
 
-
-_Operands = namedtuple("_Operands", "spec alpha sqrt_detg gamma fx1 fx2 ft w alpha_w")
+_Operands = namedtuple("_Operands", "spec alpha sqrt_detg christoffel gamma fx1 fx2 ft w alpha_w")
 
 
 def _operands(spec, alpha, sqrt_detg, christoffel, fx1, fx2, ft) -> _Operands:
-    """The bundle on ``spec``, its ``gamma[i][j][k]`` G^i_jk (from 0: component i,
-    derivative j, flow component k) from ``christoffel``, G^1_11, G^1_12, G^1_22,
-    G^2_11, G^2_12, G^2_22; ``ValueError`` unless alpha is a positive finite real
-    scalar and w and the data term are finite."""
-    if not (isinstance(alpha, numbers.Real) and 0 < alpha < math.inf):
-        raise ValueError(f"alpha must be a positive finite real scalar, got {alpha!r}")
+    """The bundle on ``spec``, with ``christoffel`` as given, the six arrays G^1_11,
+    G^1_12, G^1_22, G^2_11, G^2_12, G^2_22, and its ``gamma[i][j][k]`` G^i_jk (from 0:
+    component i, derivative j, flow component k) from them; ``ValueError`` unless
+    alpha is a positive finite real scalar and w and the data term are finite."""
+    _positive("alpha", alpha)
     w = np.multiply(sqrt_detg, spec.h * spec.h)
     if not np.all(np.isfinite(w)):
         raise ValueError("quadrature weights sqrt(det g) * h^2 are not finite")
@@ -105,9 +100,9 @@ def _operands(spec, alpha, sqrt_detg, christoffel, fx1, fx2, ft) -> _Operands:
             "overflows; rescale the intensities"
         )
     w.flags.writeable = alpha_w.flags.writeable = False
-    c = christoffel
+    c = tuple(christoffel)
     gamma = ((c[0], c[1]), (c[1], c[2])), ((c[3], c[4]), (c[4], c[5]))
-    return _Operands(spec, alpha, sqrt_detg, gamma, fx1, fx2, ft, w, alpha_w)
+    return _Operands(spec, alpha, sqrt_detg, c, gamma, fx1, fx2, ft, w, alpha_w)
 
 
 def problem_from_frames(

@@ -71,7 +71,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridSpec, VectorField, _index
+from .grid import GridSpec, VectorField, _index, _positive
 from .model import FlowProblem, _energy_arrays, _flow_array, _gradient_arrays, _operands
 
 __all__ = ["METHODS", "OMEGA", "SolverConfig", "SolverReport", "solve"]
@@ -102,8 +102,7 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {list(METHODS)}")
-        if not (np.isfinite(self.tol) and self.tol > 0):
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        _positive("tol", self.tol)
         if _index("max_iter", self.max_iter) < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
 
@@ -220,8 +219,7 @@ def _coarsen(ops):
     spec = ops.spec
     coarse = GridSpec((spec.width + 1) // 2, (spec.height + 1) // 2, 2 * spec.h, spec.dt)
     sample = lambda a: np.ascontiguousarray(a[::2, ::2])
-    christoffel = [sample(g[j][k]) for g in ops.gamma for j, k in ((0, 0), (0, 1), (1, 1))]
-    data = (sample(a) for a in (ops.fx1, ops.fx2, ops.ft))
+    christoffel, data = map(sample, ops.christoffel), map(sample, (ops.fx1, ops.fx2, ops.ft))
     try:
         return _operands(coarse, ops.alpha, sample(ops.sqrt_detg), christoffel, *data)
     except ValueError:

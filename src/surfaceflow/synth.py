@@ -29,6 +29,7 @@ studies.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -209,8 +210,9 @@ class SyntheticScene:
         _index("seed", self.seed)
         if _index("frame_count", self.frame_count) < 2:
             raise ValueError(f"frame_count must be at least 2, got {self.frame_count}")
-        if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
-            raise ValueError(f"noise_sigma must be non-negative, got {self.noise_sigma}")
+        noise = self.noise_sigma
+        if not (isinstance(noise, numbers.Real) and 0 <= noise < math.inf):
+            raise ValueError(f"noise_sigma must be a non-negative finite real, got {noise!r}")
 
 
 def render(scene: SyntheticScene):
@@ -269,15 +271,27 @@ def _check_overlap(scene: SyntheticScene, x1: np.ndarray, x2: np.ndarray) -> Non
             )
 
 
-SCENE_NAMES = (
-    "flat-static",
-    "flat-translate",
-    "flat-rotate",
-    "tilt-translate",
-    "paraboloid-translate",
-    "paraboloid-rotate",
-    "moving-bump",
-)
+# each catalog scene's (surface, motion) as a function of the grid's extent, size - 1
+_CATALOG = {
+    "flat-static": lambda e: (Flat(), Translation(0.0, 0.0)),
+    "flat-translate": lambda e: (Flat(), Translation(1.0, 0.0)),
+    "flat-rotate": lambda e: (Flat(), Rotation(omega=0.05, center=(e / 2, e / 2))),
+    "tilt-translate": lambda e: (Tilt(0.5, 0.2), Translation(1.0, 0.0)),
+    "paraboloid-translate": lambda e: (
+        Paraboloid(curvature=0.3 / e, center=(e / 2, e / 2)),
+        Translation(1.0, 0.0),
+    ),
+    "paraboloid-rotate": lambda e: (
+        Paraboloid(curvature=0.3 / e, center=(e / 2, e / 2)),
+        Rotation(omega=0.05, center=(e / 2, e / 2)),
+    ),
+    "moving-bump": lambda e: (
+        MovingBump(0.12 * e, 0.25 * e, center=(0.40 * e, 0.45 * e), drift=(0.3, 0.2)),
+        Translation(1.0, 0.0),
+    ),
+}
+
+SCENE_NAMES = tuple(_CATALOG)
 
 
 def make_scene(
@@ -296,34 +310,10 @@ def make_scene(
     """
     if size < 3:
         raise ValueError(f"size must be at least 3, got {size}")
-    extent = float(size - 1)
-    c = extent / 2.0
-    table = {
-        "flat-static": (Flat(), Translation(0.0, 0.0)),
-        "flat-translate": (Flat(), Translation(1.0, 0.0)),
-        "flat-rotate": (Flat(), Rotation(omega=0.05, center=(c, c))),
-        "tilt-translate": (Tilt(0.5, 0.2), Translation(1.0, 0.0)),
-        "paraboloid-translate": (
-            Paraboloid(curvature=0.3 / extent, center=(c, c)),
-            Translation(1.0, 0.0),
-        ),
-        "paraboloid-rotate": (
-            Paraboloid(curvature=0.3 / extent, center=(c, c)),
-            Rotation(omega=0.05, center=(c, c)),
-        ),
-        "moving-bump": (
-            MovingBump(
-                amplitude=0.12 * extent,
-                sigma=0.25 * extent,
-                center=(0.40 * extent, 0.45 * extent),
-                drift=(0.3, 0.2),
-            ),
-            Translation(1.0, 0.0),
-        ),
-    }
-    if name not in table:
+    if name not in _CATALOG:
         raise ValueError(f"unknown scene {name!r}; expected one of {SCENE_NAMES}")
-    surface, motion = table[name]
+    extent = float(size - 1)
+    surface, motion = _CATALOG[name](extent)
     spec = GridSpec(width=size, height=size, h=1.0, dt=1.0)
     return SyntheticScene(
         spec=spec,

@@ -296,6 +296,23 @@ class TestFlowCommand:
         capsys.readouterr()
         assert code == 2
 
+    # each positive flag is refused at parsing, so no input is read and no file is written
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["flow", "--manifest", "none.txt", "--out", "x", "--tol", "0"],
+            ["flow", "--manifest", "none.txt", "--out", "x", "--alpha", "nan"],
+            ["energy", "--manifest", "none.txt", "--flow", "none.flo", "--alpha", "inf"],
+            ["color", "--flow", "none.flo", "--out", "x.ppm", "--max-magnitude", "-1"],
+        ],
+        ids=["tol", "flow-alpha", "energy-alpha", "max-magnitude"],
+    )
+    def test_positive_flag_refused_before_any_file(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        assert f"invalid positive value: '{argv[-1]}'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_frame_pair_rejected(self, tmp_path, capsys, translation_dir):
         code = main(
             [

@@ -17,6 +17,10 @@ from surfaceflow.grid import (
     diff_x2_array,
     diff2_x2_array,
 )
+from surfaceflow.geometry import flat_geometry
+from surfaceflow.io import colorize
+from surfaceflow.model import FlowProblem
+from surfaceflow.solver import SolverConfig
 
 from conftest import same_bits
 from reference import (
@@ -328,3 +332,41 @@ class TestHessian:
         f = field_from(spec, lambda x1, x2: x1 * x2)
         _, d12, _ = hessian(f)
         assert np.allclose(d12.values[1:-1, 1:-1], 1.0, atol=1e-12)
+
+
+def _flat_problem(alpha):
+    zero = ScalarField.zeros(GridSpec(4, 4))
+    return FlowProblem(geom=flat_geometry(zero.spec), fx1=zero, fx2=zero, ft=zero, alpha=alpha)
+
+
+# every positive finite real scalar the library takes: (the name its errors give,
+# a call that passes it the one value)
+POSITIVE_ENTRIES = {
+    "GridSpec.h": ("h", lambda v: GridSpec(5, 5, h=v)),
+    "GridSpec.dt": ("dt", lambda v: GridSpec(5, 5, dt=v)),
+    "diff_t": ("dt", lambda v: diff_t(*[ScalarField.zeros(GridSpec(3, 3))] * 2, v)),
+    "SolverConfig.tol": ("tol", lambda v: SolverConfig(tol=v)),
+    "FlowProblem.alpha": ("alpha", _flat_problem),
+    "colorize": ("max_magnitude", lambda v: colorize(np.ones((2, 2)), np.zeros((2, 2)), v)),
+}
+
+
+class TestPositiveRule:
+    """One rule for every positive real scalar: a ``numbers.Real`` with
+    0 < value < inf, else a ValueError that names the argument."""
+
+    @pytest.mark.parametrize("entry", POSITIVE_ENTRIES)
+    @pytest.mark.parametrize(
+        "value",
+        [0, -1, float("nan"), float("inf"), "1", np.array([1.0]), np.array([1e-6])],
+        ids=["zero", "negative", "nan", "inf", "str", "array", "array-tol"],
+    )
+    def test_refused_with_the_argument_named(self, entry, value):
+        name, call = POSITIVE_ENTRIES[entry]
+        with pytest.raises(ValueError, match=rf"^{name} must be a positive finite real scalar"):
+            call(value)
+
+    @pytest.mark.parametrize("entry", POSITIVE_ENTRIES)
+    @pytest.mark.parametrize("value", [2, np.int64(2), np.float32(0.5), np.float64(1e-6)])
+    def test_numpy_scalars_pass(self, entry, value):
+        POSITIVE_ENTRIES[entry][1](value)

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -116,6 +116,16 @@ class TestFloatImage:
         with pytest.raises(FloatImageError):
             read_float_image(path)
 
+    # NaN as is, 1e39 beyond the float32 range: the writer refuses what its reader
+    # would, with no numpy overflow warning and no file written
+    @pytest.mark.parametrize("sample", [np.nan, 1e39, -1e39])
+    def test_writer_refuses_non_finite_float32(self, tmp_path, sample):
+        values = np.zeros((3, 4))
+        values[1, 2] = sample
+        with pytest.raises(FloatImageError, match="non-finite"):
+            write_float_image(tmp_path / "bad.pfm", values)
+        assert not (tmp_path / "bad.pfm").exists()
+
 
 class TestFlowFile:
     def test_round_trip(self, tmp_path, rng):
@@ -189,6 +199,15 @@ class TestFlowFile:
         )
         with pytest.raises(FlowFileError):
             read_flow(path)
+
+    @pytest.mark.parametrize("component", [0, 1])
+    @pytest.mark.parametrize("sample", [np.nan, 1e39, -1e39])
+    def test_writer_refuses_non_finite_float32(self, tmp_path, component, sample):
+        u = np.zeros((2, 3, 4))
+        u[component, 2, 1] = sample
+        with pytest.raises(FlowFileError, match="non-finite"):
+            write_flow(tmp_path / "bad.flo", *u)
+        assert not (tmp_path / "bad.flo").exists()
 
 
 def write_fields(directory, names, spec, value=0.5):
@@ -315,6 +334,57 @@ class TestManifest:
                 height_paths=("h0.pfm", "h1.pfm"),
             )
 
+    # none of these reads back as written: the reader strips each line and splits
+    # at every line break, and bytes would be written as their repr
+    @pytest.mark.parametrize(
+        "path",
+        [" a.pfm", "a.pfm\t", "a\nb.pfm", "a\rb.pfm", "a\u2028b.pfm", "", " ", b"a.pfm", None],
+    )
+    @pytest.mark.parametrize("role", ["frame", "height"])
+    def test_path_that_does_not_read_back_is_refused(self, path, role):
+        paths = {"frame_paths": ("f.pfm",), "height_paths": ("z.pfm",)}
+        paths[f"{role}_paths"] = (path,)
+        with pytest.raises(ManifestError, match="path"):
+            Manifest(spec=GridSpec(4, 4), **paths)
+
+    @given(
+        width=st.integers(3, 9),
+        height=st.integers(3, 9),
+        h=st.floats(0.0, exclude_min=True, allow_infinity=False),
+        dt=st.floats(0.0, exclude_min=True, allow_infinity=False),
+        bounds=st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 2),
+        # any name a file can have in one directory, edge whitespace and line breaks included
+        paths=st.lists(
+            st.text(st.characters(blacklist_categories=["Cs"], blacklist_characters="/\x00"),
+                    min_size=1, max_size=8).filter(lambda p: p not in (".", "..")),
+            min_size=2,
+            max_size=5,
+        ),
+        static=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    @example(3, 3, 1.0, 1.0, (0.0, 1.0), ["a b.pfm", "#c.pfm"], True)
+    def test_every_manifest_that_constructs_reads_back_equal(
+        self, tmp_path_factory, width, height, h, dt, bounds, paths, static
+    ):
+        directory = tmp_path_factory.mktemp("manifest")
+        frames = paths[:-1] if static else paths[: len(paths) // 2]
+        heights = paths[-1:] if static else paths[len(paths) // 2 :][: len(frames)]
+        try:
+            manifest = Manifest(
+                spec=GridSpec(width, height, h, dt),
+                frame_paths=tuple(frames),
+                height_paths=tuple(heights),
+                intensity_range=tuple(sorted(bounds)),
+                base_dir=directory,
+            )
+        except ManifestError:
+            reject()
+        for rel in paths:
+            (directory / rel).write_bytes(b"")
+        write_manifest(directory / "manifest.txt", manifest)
+        assert read_manifest(directory / "manifest.txt") == manifest
+
 
 class TestLoadSequence:
     def test_full_resolution_frames(self, tmp_path):
@@ -402,6 +472,23 @@ class TestLoadSequence:
         )
         frame_0, _, _ = load_sequence(manifest, 0, 1)
         assert np.array_equal(frame_0.values, raw)
+
+    # a float index is refused by name, static or evolving, never used as an index
+    @pytest.mark.parametrize("i, j, name", [(0.0, 1, "i"), (0, 1.0, "j"), ("0", 1, "i")])
+    @pytest.mark.parametrize("height_count", [1, 2])
+    def test_pair_indices_must_be_integers(self, tmp_path, i, j, name, height_count):
+        spec = GridSpec(4, 4)
+        write_fields(tmp_path, ["f0.pfm", "f1.pfm", "z0.pfm", "z1.pfm"], spec)
+        manifest = Manifest(
+            spec=spec,
+            frame_paths=("f0.pfm", "f1.pfm"),
+            height_paths=("z0.pfm", "z1.pfm")[:height_count],
+            base_dir=tmp_path,
+        )
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer"):
+            load_sequence(manifest, i, j)
+        _, _, height = load_sequence(manifest, np.int64(0), np.int32(1))
+        assert height.spec == spec
 
 
 class TestColorWheel:

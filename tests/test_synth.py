@@ -81,6 +81,18 @@ class TestSceneValidation:
         with pytest.raises(ValueError):
             make_scene("flat-translate", size=17, noise_sigma=-0.1)
 
+    @pytest.mark.parametrize(
+        "noise_sigma", ["0.1", -1e-3, float("nan"), float("inf"), np.array([0.1]), None]
+    )
+    def test_noise_sigma_not_a_non_negative_real(self, noise_sigma):
+        with pytest.raises(ValueError, match="^noise_sigma"):
+            make_scene("flat-translate", size=17, noise_sigma=noise_sigma)
+
+    @pytest.mark.parametrize("noise_sigma", [0, 0.0, np.float64(0.0), np.float32(1e-3)])
+    def test_zero_and_numpy_noise_sigma_accepted(self, noise_sigma):
+        scene = make_scene("flat-translate", size=17, noise_sigma=noise_sigma)
+        assert scene.noise_sigma == noise_sigma
+
     def test_unknown_scene(self):
         with pytest.raises(ValueError):
             make_scene("spiral-collapse")
