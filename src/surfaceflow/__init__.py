@@ -7,7 +7,7 @@ measured along the surface rather than in the parameter plane.  Modules:
 - ``grid``: field containers and finite-difference stencils
 - ``geometry``: area element and Christoffel symbols of a graph surface
 - ``model``: constraint residual, energy, exact discrete gradient
-- ``solver``: 16-color block SOR and preconditioned conjugate gradients
+- ``solver``: 3-color block SOR and preconditioned conjugate gradients
 - ``synth``: closed-form scenes with exact ground truth
 - ``io``: float-map, flow-file, manifest, and color-coding formats
 - ``cli``: the ``surfaceflow`` command

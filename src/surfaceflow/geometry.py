@@ -13,7 +13,7 @@ order away from the boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -40,6 +40,10 @@ class SurfaceGeometry:
     gamma2_12: ScalarField
     gamma2_22: ScalarField
     zt: ScalarField
+
+    def __post_init__(self) -> None:
+        if any(getattr(self, f.name).spec != self.spec for f in fields(self)[1:]):
+            raise ValueError("geometry fields must share the grid spec")
 
 
 def build_geometry(

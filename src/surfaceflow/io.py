@@ -17,6 +17,7 @@ is the one call that returns containers, the ScalarFields a problem is built fro
 
 from __future__ import annotations
 
+import numbers
 import re
 import struct
 from dataclasses import dataclass, field
@@ -89,10 +90,14 @@ class Manifest:
                 f"{len(self.height_paths)} height maps for "
                 f"{len(self.frame_paths)} frames; need one per frame or a single static map"
             )
-        lo, hi = self.intensity_range
-        # the span hi - lo is finite only when both ends are
-        if not (lo < hi and np.isfinite(float(hi) - float(lo))):
-            raise ManifestError(f"intensity_range needs lower < upper, finite span; got {lo}, {hi}")
+        rng = self.intensity_range
+        try:  # two reals lo < hi; the span hi - lo is finite only when both ends are
+            valid = len(rng) == 2 and all(isinstance(x, numbers.Real) for x in rng)
+            valid = valid and rng[0] < rng[1] and np.isfinite(float(rng[1]) - float(rng[0]))
+        except (TypeError, OverflowError):  # no length, or an int beyond float
+            valid = False
+        if not valid:
+            raise ManifestError(f"intensity_range needs reals lo < hi, finite span, got {rng!r}")
 
     @property
     def frame_count(self) -> int:
@@ -105,13 +110,14 @@ class Manifest:
 
 def write_manifest(path, manifest: Manifest) -> None:
     spec, (lo, hi) = manifest.spec, manifest.intensity_range
+    # a float's repr reads back exactly; a numpy scalar's repr names its type
     lines = [
         "version 1",
         f"width {spec.width}",
         f"height {spec.height}",
-        f"h {spec.h!r}",
-        f"dt {spec.dt!r}",
-        f"intensity_range {lo!r} {hi!r}",
+        f"h {float(spec.h)!r}",
+        f"dt {float(spec.dt)!r}",
+        f"intensity_range {float(lo)!r} {float(hi)!r}",
         *(f"frame {p}" for p in manifest.frame_paths),
         *(f"heightmap {p}" for p in manifest.height_paths),
     ]
@@ -149,26 +155,20 @@ def read_manifest(path) -> Manifest:
     if scalars["version"] != "1":
         raise ManifestError(f"{path}: version must be 1, got {scalars['version']!r}")
     try:
-        spec = GridSpec(
-            width=_dimension(scalars["width"]),
-            height=_dimension(scalars["height"]),
-            h=float(scalars["h"]),
-            dt=float(scalars["dt"]),
+        manifest = Manifest(
+            spec=GridSpec(
+                width=_dimension(scalars["width"]),
+                height=_dimension(scalars["height"]),
+                h=float(scalars["h"]),
+                dt=float(scalars["dt"]),
+            ),
+            frame_paths=tuple(frames),
+            height_paths=tuple(heights),
+            intensity_range=tuple(map(float, scalars.get("intensity_range", "0 1").split())),
+            base_dir=path.parent,
         )
-        rng = tuple(float(part) for part in scalars.get("intensity_range", "0 1").split())
     except ValueError as exc:
         raise ManifestError(f"{path}: {exc}") from exc
-    if len(rng) != 2:
-        raise ManifestError(
-            f"{path}: intensity_range needs two values, got {scalars['intensity_range']!r}"
-        )
-    manifest = Manifest(
-        spec=spec,
-        frame_paths=tuple(frames),
-        height_paths=tuple(heights),
-        intensity_range=rng,
-        base_dir=path.parent,
-    )
     for rel in (*manifest.frame_paths, *manifest.height_paths):
         full = manifest.base_dir / rel
         if not full.is_file():

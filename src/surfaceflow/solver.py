@@ -21,23 +21,19 @@ need fewest: m = 3, k = 1 for the diagonal (6 applies), m = 10, k = 3 for the
 whole stencil (20 applies).  D sits at offset 0 alone, so the other offsets
 are R's bitwise.  The inverted 2x2 diagonal blocks are the offset-0 slice.
 
-Block SOR sweeps a 16-coloring of the grid, (row mod 4, col mod 4).  Same-
-color unknowns never interact, so the color's principal submatrix is exactly
-the per-point 2x2 diagonal blocks, and each exact block update changes the
-energy by -omega*(1 - omega/2) * g^T A_BB^{-1} g <= 0 for omega in (0, 2), and
-``OMEGA`` fixes omega at 1.9.  That makes every sweep monotone in exact
-arithmetic, which red-black coloring would not be here (the wide
-second-difference composition couples same-parity neighbours).  The stencil, b
-and the inverted blocks are stored color by color, so a color's residual b +
-sum c * u on its own points is one gather of the flow (padded by two zeros)
-and one sum, and a sweep's stopping residual is the same sum over the whole
-grid.  SOR takes b = g - sum c * u from its stencil and the starting gradient
-g, which is g itself from a zero start.  CG keeps the matrix-free apply and
-takes its preconditioner blocks from the diagonal probe.  The inverted blocks
-are a stacked diagonal (i11, i22) and an off-diagonal i12, and
-``_block_solve`` alone applies them, as SOR's color update and as CG's block
-Jacobi preconditioner.  CG updates its vectors in place, through one scratch
-array.
+Block SOR sweeps the diagonal probe's colors.  Same-color unknowns never
+couple, so a color's principal submatrix is its 2x2 blocks, and an exact block
+update changes the energy by -omega*(1 - omega/2) * g^T A_BB^{-1} g <= 0 for
+omega in (0, 2): every sweep is monotone in exact arithmetic.  The stencil, b
+and the inverted blocks are stored color by color, so a color's residual
+b + sum c * u on its own points is one gather of the flow (padded by two
+zeros) and one sum, and a sweep's stopping residual is the same sum over the
+whole grid; b = g - sum c * u comes from the stencil and the starting
+gradient g.  CG keeps the matrix-free apply and takes its preconditioner
+blocks from the diagonal probe.  The inverted blocks are a stacked diagonal
+(i11, i22) and an off-diagonal i12, and ``_block_solve`` alone applies them,
+as SOR's color update and as CG's block Jacobi preconditioner.  CG updates its
+vectors in place, through one scratch array.
 
 Every two-component array, the flow as well as gradients, residuals and
 Krylov vectors, is one (2, height, width) array, component first.  ``solve``
@@ -145,9 +141,6 @@ class SolverReport:
 # the offsets (row, col) of A's plus stencil, the point itself first
 _STENCIL = ((0, 0), (0, -2), (0, -1), (0, 1), (0, 2), (-2, 0), (-1, 0), (1, 0), (2, 0))
 
-# the 16 SOR colors (row mod 4, col mod 4), row-major
-_COLORS = tuple((a, c) for a in range(4) for c in range(4))
-
 # nested starts above this side length; at 65 the coarse solve costs more than it saves
 _NESTED_ABOVE = 65
 
@@ -160,7 +153,7 @@ def solve(
 ):
     """Minimize the flow energy; returns the flow and a :class:`SolverReport`.
 
-    One iteration means one full 16-color sweep (SOR) or one Krylov step
+    One iteration means one sweep over every color (SOR) or one Krylov step
     (CG).  The initial guess converging immediately is reported as zero
     iterations.
     """
@@ -254,6 +247,12 @@ def _lattice(offsets):
     )
 
 
+def _coloring(shape, offsets):
+    """The ``_lattice`` coloring for ``offsets``: (m, k) and each point's color, as bytes."""
+    m, k = _lattice(offsets)
+    return m, k, (np.add.outer(np.arange(shape[0]), k * np.arange(shape[1])) % m).astype(np.uint8)
+
+
 def _probe(homogeneous, offsets):
     """A's coefficients at ``offsets`` (a subset of ``_STENCIL``), read off exactly.
 
@@ -261,13 +260,12 @@ def _probe(homogeneous, offsets):
     energy gradient is A itself; the problem's own would add b to every
     offset.  Returns c of shape (len(offsets), 2, 2, height, width) with
     (A u)_i(q) = sum over d of c[d, i, k](q) u_k(q + d); c[d] is zero where
-    q + d leaves the grid.  Each of the 2 m applies of the ``_lattice`` coloring,
-    whose color grid is built once as bytes (m <= 10), yields c[d] by one masked
-    copy on the points q whose q + d has the applied color: each point once.
+    q + d leaves the grid.  Each of the 2 m applies of the ``_lattice`` coloring
+    yields c[d] by one masked copy on the points q whose q + d has the applied
+    color: each point once.
     """
-    m, k = _lattice(offsets)
     shape = homogeneous.spec.shape
-    color = (np.add.outer(np.arange(shape[0]), k * np.arange(shape[1])) % m).astype(np.uint8)
+    m, k, color = _coloring(shape, offsets)
     coeffs = np.empty((len(offsets), 2, 2) + shape)
     for a, j in itertools.product(range(m), range(2)):
         e = np.zeros((2,) + shape)
@@ -298,39 +296,36 @@ def _block_solve(diagonal, off_diagonal, r, out=None, work=None):
 
 
 def _sor_steps(homogeneous, g, u):
-    """16-color exact block SOR on the probed stencil from the gradient ``g``
-    at ``u``; each sweep copies the padded flow's interior into ``u``."""
+    """Exact block SOR over the diagonal probe's colors from the gradient ``g`` at ``u``."""
     coeffs = _probe(homogeneous, _STENCIL)
     height, width = homogeneous.spec.shape
     flow = np.zeros((2, height + 4, width + 4))
     flow[:, 2:-2, 2:-2] = u
 
-    # the points color by color, color (a, c) the row-major flat indices of grid[a::4, c::4],
-    # for the coefficients (permuted in place), b = g - A u, the inverted blocks and idx,
-    # the flat index into a padded flow component of each point's sample at each offset
-    grid = np.arange(height * width).reshape(height, width)
-    order = np.concatenate([grid[a::4, c::4].ravel() for a, c in _COLORS])
-    rows, cols = divmod(order, width)
+    # the points color by color, row-major within a color, for the coefficients
+    # (permuted in place), b = g - A u, the inverted blocks and idx, the flat
+    # index into a padded flow component of each point's sample at each offset
+    color = _coloring((height, width), _STENCIL[:1])[2].ravel()
+    order = np.argsort(color, kind="stable")
     for part in coeffs.reshape(len(_STENCIL), 4, -1):
         part[...] = part.take(order, axis=1)
     coeffs = coeffs.reshape(len(_STENCIL), 2, 2, -1)
     diagonal, off_diagonal = _inverse_blocks(coeffs[0])
     offset = np.array([dr * (width + 4) + dc for dr, dc in _STENCIL])
-    idx = (rows + 2) * (width + 4) + cols + 2 + offset[:, None]
+    idx = np.arange(flow[0].size).reshape(flow[0].shape)[2:-2, 2:-2].take(order) + offset[:, None]
     samples = flow.reshape(2, -1)
     b = g.reshape(2, -1).take(order, axis=1)
     b -= np.einsum("dikn,kdn->in", coeffs, samples.take(idx, axis=1))
-    del grid, order, rows, cols
-    # per color: its points in the padded flow (a view) and its slice of the rest
-    owns = [flow[:, 2 + a : 2 + height : 4, 2 + c : 2 + width : 4] for a, c in _COLORS]
-    bounds = np.cumsum([own[0].size for own in owns])[:-1]
+    bounds = np.cumsum(np.bincount(color))[:-1]
+    del color, order
     split = (np.split(x, bounds, axis=-1) for x in (coeffs, idx, b, diagonal, off_diagonal))
-    colors = list(zip(owns, *split))
+    colors = list(zip(*split))
 
     while True:
-        for own, coeff, index, b_color, diagonal_color, off_color in colors:
+        # offset (0, 0) comes first, so index[0] holds each of the color's points once
+        for coeff, index, b_color, diagonal_color, off_color in colors:
             residual = b_color + np.einsum("dikn,kdn->in", coeff, samples.take(index, axis=1))
-            own -= OMEGA * _block_solve(diagonal_color, off_color, residual).reshape(own.shape)
+            samples[:, index[0]] -= OMEGA * _block_solve(diagonal_color, off_color, residual)
         u[...] = flow[:, 2:-2, 2:-2]
         yield _max_norm(b + np.einsum("dikn,kdn->in", coeffs, samples.take(idx, axis=1)))
 

@@ -308,7 +308,7 @@ def make_scene(
     Surface heights are in pixels as well, scaled with the grid so slopes
     stay moderate and size-independent.
     """
-    if size < 3:
+    if _index("size", size) < 3:
         raise ValueError(f"size must be at least 3, got {size}")
     if name not in _CATALOG:
         raise ValueError(f"unknown scene {name!r}; expected one of {SCENE_NAMES}")

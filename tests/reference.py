@@ -621,24 +621,25 @@ def stencil_apply(coeffs: np.ndarray, u1: np.ndarray, u2: np.ndarray):
 
 
 def full_apply_sor(problem: FlowProblem, config: SolverConfig, u1: np.ndarray, u2: np.ndarray):
-    """16-color exact block SOR that recomputes the whole gradient after every
-    color update: the solver's SOR before its colors read their residuals off
-    the probed stencil.  Sweeps at least once from (u1, u2), updated in place;
-    returns (converged, sweeps, u1, u2, gradient max-norm)."""
+    """Exact block SOR over the colors (row + col) mod 3 that recomputes the
+    whole gradient after every color update: the solver's SOR before its colors
+    read their residuals off the probed stencil.  Sweeps at least once from
+    (u1, u2), updated in place; returns (converged, sweeps, u1, u2, gradient
+    max-norm)."""
     (i11, i22), i12 = _inverse_blocks(_probe(a_bundle(problem), _STENCIL[:1])[0])
     g1, g2 = _gradient_arrays(problem._ops, np.stack((u1, u2)))
     omega = 1.9  # the solver's relaxation factor, stated here on its own
+    color = np.add.outer(np.arange(u1.shape[0]), np.arange(u1.shape[1])) % 3
     converged = False
     res = np.inf
     for sweeps in range(1, config.max_iter + 1):
-        for a in range(4):
-            for c in range(4):
-                sel = (slice(a, None, 4), slice(c, None, 4))
-                gb1 = g1[sel]
-                gb2 = g2[sel]
-                u1[sel] -= omega * (i11[sel] * gb1 + i12[sel] * gb2)
-                u2[sel] -= omega * (i12[sel] * gb1 + i22[sel] * gb2)
-                g1, g2 = _gradient_arrays(problem._ops, np.stack((u1, u2)))
+        for a in range(3):
+            sel = color == a
+            gb1 = g1[sel]
+            gb2 = g2[sel]
+            u1[sel] -= omega * (i11[sel] * gb1 + i12[sel] * gb2)
+            u2[sel] -= omega * (i12[sel] * gb1 + i22[sel] * gb2)
+            g1, g2 = _gradient_arrays(problem._ops, np.stack((u1, u2)))
         res = float(max(np.max(np.abs(g1)), np.max(np.abs(g2))))
         if res <= config.tol:
             converged = True

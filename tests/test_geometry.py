@@ -52,6 +52,13 @@ class TestFlatGeometry:
         for i, j, k in [(1, 1, 1), (1, 1, 2), (1, 2, 2), (2, 1, 1), (2, 1, 2), (2, 2, 2)]:
             assert np.all(getattr(geom, f"gamma{i}_{j}{k}").values == 0.0)
 
+    def test_fields_from_another_grid_rejected(self):
+        geom = flat_geometry(GridSpec(5, 6, h=2.0))
+        with pytest.raises(ValueError, match="grid spec"):
+            dataclasses.replace(geom, spec=GridSpec(5, 6, h=1.0))
+        with pytest.raises(ValueError, match="grid spec"):
+            dataclasses.replace(geom, zt=ScalarField.zeros(GridSpec(5, 6, h=1.0)))
+
     def test_flat_geometry_helper(self):
         spec = GridSpec(4, 4)
         helper = flat_geometry(spec)

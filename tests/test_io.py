@@ -1,9 +1,10 @@
+import math
 import struct
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, reject, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -29,6 +30,15 @@ from surfaceflow.io import (
 )
 
 from reference import broadcast_colorize
+
+def reals(lo, hi):
+    """Python and numpy ints and floats in [lo, hi]."""
+    floats = st.floats(lo, hi)
+    ints = st.integers(math.ceil(lo), math.floor(hi))
+    return st.one_of(
+        floats, ints, floats.map(np.float64), floats.map(np.float32), ints.map(np.int64)
+    )
+
 
 GOLDEN_FLO_HEX = "5049454802000000010000000000803f000000400000404000008040"
 
@@ -324,6 +334,34 @@ class TestManifest:
                         height_paths=("b.pfm",),
                         intensity_range=(lo, hi),
                     )
+
+    # a non-real end, a range of other than two values, and ends whose span
+    # overflows a float
+    @pytest.mark.parametrize(
+        "rng", [("0", "2"), (0, "2"), (0, None), (0, 1, 2), (0,), 5, "01", (0, 10**400)]
+    )
+    def test_malformed_intensity_range(self, rng):
+        with pytest.raises(ManifestError, match="intensity_range"):
+            Manifest(
+                spec=GridSpec(4, 4), frame_paths=("a.pfm",), height_paths=("b.pfm",),
+                intensity_range=rng,
+            )
+
+    @given(h=reals(1e-3, 1e3), dt=reals(1e-3, 1e3), bounds=st.tuples(*[reals(-1e3, 1e3)] * 2))
+    @settings(max_examples=60, deadline=None)
+    @example(h=np.float64(0.5), dt=np.int64(2), bounds=(np.float32(0.1), 1))
+    def test_numpy_and_python_scalars_read_back_equal(self, tmp_path_factory, h, dt, bounds):
+        lo, hi = sorted(bounds)
+        assume(lo < hi)
+        directory = tmp_path_factory.mktemp("manifest")
+        for rel in ("a.pfm", "b.pfm"):
+            (directory / rel).write_bytes(b"")
+        manifest = Manifest(
+            spec=GridSpec(4, 5, h, dt), frame_paths=("a.pfm",), height_paths=("b.pfm",),
+            intensity_range=(lo, hi), base_dir=directory,
+        )
+        write_manifest(directory / "manifest.txt", manifest)
+        assert read_manifest(directory / "manifest.txt") == manifest
 
     def test_height_count_must_be_one_or_match(self):
         spec = GridSpec(4, 4)

@@ -326,6 +326,35 @@ class TestStencil:
                 ref = solver._max_norm(_gradient_arrays(prob._ops, u))
                 assert abs(res - ref) <= 1e-12 * ref
 
+    @given(
+        height=st.integers(3, 17),
+        width=st.integers(3, 17),
+        surface=st.sampled_from(["flat", "curved", "evolving"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(height=4, width=4, surface="evolving", seed=0)
+    @example(height=16, width=17, surface="curved", seed=1)
+    @settings(max_examples=40, deadline=None)
+    def test_sor_colors_do_not_couple(self, height, width, surface, seed):
+        # one exact block update of a color scales its gradient by 1 - OMEGA,
+        # as it must when the color's principal submatrix is its 2x2 blocks
+        rng = np.random.default_rng(seed)
+        prob = drawn_problem(height, width, surface, rng)
+        _, coeffs = probed(prob)
+        blocks = solver._inverse_blocks(coeffs[0])
+        color = solver._coloring(prob.spec.shape, solver._STENCIL[:1])[2]
+        u = rng.standard_normal((2,) + prob.spec.shape)
+        g = _gradient_arrays(prob._ops, u)
+        # the gradient's rounding is relative to the size of its terms, |A| |u| + |b|
+        b = _gradient_arrays(prob._ops, np.zeros_like(u))
+        scale = np.max(np.stack(stencil_apply(np.abs(coeffs), *np.abs(u))) + np.abs(b))
+        for a in range(3):
+            own = color == a
+            swept = u - solver.OMEGA * own * solver._block_solve(*blocks, g)
+            after = _gradient_arrays(prob._ops, swept)
+            gap = np.abs(after - (1.0 - solver.OMEGA) * g)[:, own]
+            assert np.max(gap) <= 1e-12 * scale
+
 
 def assert_block_solve_inverts(block, x):
     """The inverted blocks undo the blocks: ``_block_solve`` of A_qq x is x."""

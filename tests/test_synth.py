@@ -70,6 +70,11 @@ class TestSceneValidation:
         with pytest.raises(ValueError, match=name):
             pixel_scene(17, Flat(), GaussianPattern(), Translation(0.0, 0.0), **kwargs)
 
+    @pytest.mark.parametrize("size", ["65", 65.0, None])
+    def test_size_not_an_integer(self, size):
+        with pytest.raises(ValueError, match="size"):
+            make_scene("flat-translate", size=size)
+
     def test_numpy_integers_accepted(self):
         scene = pixel_scene(
             17, Flat(), GaussianPattern(), Translation(0.0, 0.0),
