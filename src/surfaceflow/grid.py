@@ -72,7 +72,11 @@ def _index(name: str, value) -> int:
 
 def _positive(name: str, value):
     """``value`` if a real scalar in (0, inf); ``ValueError`` naming ``name`` if not."""
-    if not (isinstance(value, numbers.Real) and 0 < value < math.inf):
+    try:  # isfinite reads value as a float, which an int beyond the float range overflows
+        valid = isinstance(value, numbers.Real) and 0 < value and math.isfinite(value)
+    except OverflowError:
+        valid = False
+    if not valid:
         raise ValueError(f"{name} must be a positive finite real scalar, got {value!r}")
     return value
 

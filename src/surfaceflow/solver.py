@@ -27,8 +27,8 @@ update changes the energy by -omega*(1 - omega/2) * g^T A_BB^{-1} g <= 0 for
 omega in (0, 2): every sweep is monotone in exact arithmetic.  The stencil, b
 and the inverted blocks are stored color by color, so a color's residual
 b + sum c * u on its own points is one gather of the flow (padded by two
-zeros) and one sum, and a sweep's stopping residual is the same sum over the
-whole grid; b = g - sum c * u comes from the stencil and the starting
+zeros) and one sum, and a sweep's stopping residual is the max of these sums
+after the sweep; b = g - sum c * u comes from the stencil and the starting
 gradient g.  CG keeps the matrix-free apply and takes its preconditioner
 blocks from the diagonal probe.  The inverted blocks are a stacked diagonal
 (i11, i22) and an off-diagonal i12, and ``_block_solve`` alone applies them,
@@ -39,15 +39,15 @@ Every two-component array, the flow as well as gradients, residuals and
 Krylov vectors, is one (2, height, width) array, component first.  ``solve``
 is the one iteration driver.  It owns ``tol``, ``max_iter`` and the energy
 trace: it checks the initial guess, caps the steps at ``max_iter`` and stops
-once a step's max-norm is within ``tol``.  Each method is a step generator
-that sets itself up on its first step, then updates the flow in place and
-yields the gradient max-norm its iteration computes: SOR's from the probed
-stencil, CG's recurrence residual; both differ from the true gradient by
-rounding.  So the report's ``grad_inf_norm`` and ``converged`` read the true
-gradient at the returned flow, for both methods.  Its ``stop_reason`` says
-why the steps stopped: ``converged`` (a step's max-norm, or the initial
-guess's gradient, met ``tol``), ``max_iter``, or ``breakdown`` (the method's
-generator ended first, as CG does on a direction of zero curvature).
+once a step's max-norm is within ``tol``.  Each method is a step generator,
+in the table ``_STEPS`` at the end, that sets itself up on its first step,
+then updates the flow in place and yields the gradient max-norm it computes:
+SOR's from the probed stencil, CG's recurrence residual; both differ from the
+true gradient by rounding.  So the report's ``grad_inf_norm`` and
+``converged`` read the true gradient at the returned flow.  Its
+``stop_reason`` says why the steps stopped: ``converged`` (a step's max-norm,
+or the initial guess's gradient, met ``tol``), ``max_iter``, or ``breakdown``
+(the generator ended first, as CG's does on a direction of zero curvature).
 
 Counted in gradient applies, a solve that iterates costs 1 at setup (the
 gradient and energy at the initial flow), then the probe, 20 for SOR or 6
@@ -72,7 +72,6 @@ from .model import FlowProblem, _energy_arrays, _flow_array, _gradient_arrays, _
 
 __all__ = ["METHODS", "OMEGA", "SolverConfig", "SolverReport", "solve"]
 
-METHODS = ("cg", "sor")  # matched exactly
 # SOR's relaxation factor: every sweep is monotone for any omega in (0, 2),
 # and 1.9 is the one value used
 OMEGA = 1.9
@@ -88,7 +87,8 @@ class SolverConfig:
     residual with ``converged`` False, or step on rounding noise until the
     energy rises and the report raises ``ValueError``.  A cold solve on a grid
     with both sides odd and above 65 runs this config on each coarse level too.
-    ``method`` is ``cg`` or ``sor``; SOR relaxes by the fixed ``OMEGA`` = 1.9.
+    ``method`` is one of ``METHODS``, the keys of the method table ``_STEPS`` at
+    the end of the module; SOR relaxes by the fixed ``OMEGA`` = 1.9.
     """
 
     method: str = "cg"
@@ -179,12 +179,11 @@ def _solve(ops, config, u, track_energy=False):
     iterations = 0
     stop_reason = "converged"
     if _max_norm(g) > config.tol:
-        steps = _sor_steps if config.method == "sor" else _cg_steps
         # A's bundle; its zero ft is still added, as a skipped add can turn +0.0 into -0.0
         homogeneous = ops._replace(ft=np.zeros(spec.shape))
         # unnamed, the generator and its buffers are freed when the loop ends
         for iterations, res in enumerate(
-            itertools.islice(steps(homogeneous, g, u), config.max_iter), 1
+            itertools.islice(_STEPS[config.method](homogeneous, g, u), config.max_iter), 1
         ):
             if track_energy:
                 trace.append(_energy_arrays(ops, u))
@@ -321,13 +320,15 @@ def _sor_steps(homogeneous, g, u):
     split = (np.split(x, bounds, axis=-1) for x in (coeffs, idx, b, diagonal, off_diagonal))
     colors = list(zip(*split))
 
+    def residual(coeff, index, b_color):
+        return b_color + np.einsum("dikn,kdn->in", coeff, samples.take(index, axis=1))
+
     while True:
         # offset (0, 0) comes first, so index[0] holds each of the color's points once
-        for coeff, index, b_color, diagonal_color, off_color in colors:
-            residual = b_color + np.einsum("dikn,kdn->in", coeff, samples.take(index, axis=1))
-            samples[:, index[0]] -= OMEGA * _block_solve(diagonal_color, off_color, residual)
+        for coeff, index, b_color, *blocks in colors:
+            samples[:, index[0]] -= OMEGA * _block_solve(*blocks, residual(coeff, index, b_color))
         u[...] = flow[:, 2:-2, 2:-2]
-        yield _max_norm(b + np.einsum("dikn,kdn->in", coeffs, samples.take(idx, axis=1)))
+        yield max(_max_norm(residual(*color[:3])) for color in colors)
 
 
 def _cg_steps(homogeneous, g, u):
@@ -363,3 +364,7 @@ def _cg_steps(homogeneous, g, u):
         p *= rz_next / rz  # p = z + beta p
         p += z
         rz = rz_next
+
+
+_STEPS = {"cg": _cg_steps, "sor": _sor_steps}  # each method's steps, the default first
+METHODS = tuple(_STEPS)  # matched exactly

@@ -65,6 +65,23 @@ def random_problem(spec: GridSpec, rng, alpha: float = 10.0, curved: bool = Fals
     )
 
 
+def drawn_problem(height, width, surface, rng):
+    """A random problem on a flat, curved or evolving surface, with random h and alpha."""
+    spec = GridSpec(width, height, h=rng.uniform(0.2, 2.0))
+    geom = (
+        build_geometry(ScalarField.zeros(spec))
+        if surface == "flat"
+        else random_geometry(spec, rng, amplitude=0.5, evolving=surface == "evolving")
+    )
+    return FlowProblem(
+        geom=geom,
+        fx1=random_field(spec, rng),
+        fx2=random_field(spec, rng),
+        ft=random_field(spec, rng),
+        alpha=rng.uniform(0.1, 100.0),
+    )
+
+
 def affine_parts(prob: FlowProblem):
     """The energy gradient as grad E(w) = A w + b: returns b = grad E(0) and
     the map w -> A w = grad E(w) - b, both through the public gradient."""

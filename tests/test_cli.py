@@ -227,7 +227,7 @@ class TestFlowCommand:
         assert not out.exists()
 
     # the key=value lines are the report format: every key, in order
-    @pytest.mark.parametrize("method", ["sor", "cg"])
+    @pytest.mark.parametrize("method", METHODS)
     def test_report_keys_in_order(self, tmp_path, capsys, translation_dir, method):
         out = tmp_path / "run"
         code, report = run_cli(
@@ -472,7 +472,7 @@ class TestFlowCommand:
         assert not (tmp_path / "x").exists()
 
     # constant frames on a curved, evolving surface carry no motion at all
-    @pytest.mark.parametrize("method", ["sor", "cg"])
+    @pytest.mark.parametrize("method", METHODS)
     def test_textureless_frames_give_zero_flow(self, tmp_path, capsys, method):
         scene = tmp_path / "bump"
         code, _ = run_cli(capsys, "synth", "moving-bump", "--out", str(scene), "--size", "17")

@@ -353,13 +353,14 @@ POSITIVE_ENTRIES = {
 
 class TestPositiveRule:
     """One rule for every positive real scalar: a ``numbers.Real`` with
-    0 < value < inf, else a ValueError that names the argument."""
+    0 < value < inf as a float, else a ValueError that names the argument."""
 
     @pytest.mark.parametrize("entry", POSITIVE_ENTRIES)
     @pytest.mark.parametrize(
         "value",
-        [0, -1, float("nan"), float("inf"), "1", np.array([1.0]), np.array([1e-6])],
-        ids=["zero", "negative", "nan", "inf", "str", "array", "array-tol"],
+        # 10**400 compares below inf exactly but overflows a float
+        [0, -1, float("nan"), float("inf"), 10**400, "1", np.array([1.0]), np.array([1e-6])],
+        ids=["zero", "negative", "nan", "inf", "int-beyond-float", "str", "array", "array-tol"],
     )
     def test_refused_with_the_argument_named(self, entry, value):
         name, call = POSITIVE_ENTRIES[entry]

@@ -363,6 +363,33 @@ class TestManifest:
         write_manifest(directory / "manifest.txt", manifest)
         assert read_manifest(directory / "manifest.txt") == manifest
 
+    # a list or a bare str for a tuple, or a str for the Path, constructed a
+    # manifest that read back unequal (and a list made it unhashable)
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("frame_paths", ["a.pfm"]),
+            ("frame_paths", "a.pfm"),
+            ("height_paths", ["b.pfm"]),
+            ("height_paths", "b.pfm"),
+            ("intensity_range", [0.0, 1.0]),
+            ("base_dir", "."),
+        ],
+    )
+    def test_only_the_types_read_back_construct(self, tmp_path, field, value):
+        fields = dict(
+            spec=GridSpec(4, 4), frame_paths=("a.pfm",), height_paths=("b.pfm",),
+            intensity_range=(0.0, 1.0), base_dir=tmp_path,
+        )
+        for rel in ("a.pfm", "b.pfm"):
+            (tmp_path / rel).write_bytes(b"")
+        manifest = Manifest(**fields)
+        write_manifest(tmp_path / "manifest.txt", manifest)
+        loaded = read_manifest(tmp_path / "manifest.txt")
+        assert loaded == manifest and hash(loaded) == hash(manifest)
+        with pytest.raises(ManifestError, match=f"^{field} must be a "):
+            Manifest(**{**fields, field: value})
+
     def test_height_count_must_be_one_or_match(self):
         spec = GridSpec(4, 4)
         with pytest.raises(ValueError):
