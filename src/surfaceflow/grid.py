@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -51,7 +52,7 @@ class GridSpec:
         if _index("width", self.width) < 3 or _index("height", self.height) < 3:
             raise ValueError(
                 f"grid must be at least 3x3 for central differences, "
-                f"got {self.width}x{self.height}"
+                f"got {_shown(self.width)}x{_shown(self.height)}"
             )
         _positive("h", self.h)
         _positive("dt", self.dt)
@@ -62,22 +63,41 @@ class GridSpec:
         return (self.height, self.width)
 
 
-def _index(name: str, value) -> int:
-    """``operator.index(value)``, so numpy ints pass; ``ValueError`` naming ``name`` if not."""
+def _shown(value) -> str:
+    """``repr(value)`` for an error message, but an int beyond the float range, and
+    one in a tuple, by its bit length: Python refuses an int of over 4,300 digits."""
+    if isinstance(value, tuple):
+        return "(" + ", ".join(map(_shown, value)) + "," * (len(value) == 1) + ")"
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
+        return f"an int of {value.bit_length()} bits"
+    return repr(value)
+
+
+def _index(name: str, value, least: int | None = None) -> int:
+    """``operator.index(value)``, so numpy ints pass; ``ValueError`` naming ``name`` if
+    not, or, given ``least``, if below ``least`` or beyond the float range."""
     try:
-        return operator.index(value)
+        index = operator.index(value)
     except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        raise ValueError(f"{name} must be an integer, got {_shown(value)}") from None
+    if least is not None and not least <= index <= sys.float_info.max:
+        raise ValueError(
+            f"{name} must be at least {least} and within the float range, got {_shown(index)}"
+        )
+    return index
 
 
-def _positive(name: str, value):
-    """``value`` if a real scalar in (0, inf); ``ValueError`` naming ``name`` if not."""
+def _positive(name: str, value, zero: bool = False):
+    """``value`` if a real scalar in (0, inf), or [0, inf) with ``zero``; ``ValueError``
+    naming ``name`` if not."""
     try:  # isfinite reads value as a float, which an int beyond the float range overflows
-        valid = isinstance(value, numbers.Real) and 0 < value and math.isfinite(value)
+        valid = isinstance(value, numbers.Real) and (0 <= value if zero else 0 < value)
+        valid = valid and math.isfinite(value)
     except OverflowError:
         valid = False
     if not valid:
-        raise ValueError(f"{name} must be a positive finite real scalar, got {value!r}")
+        kind = "non-negative" if zero else "positive"
+        raise ValueError(f"{name} must be a {kind} finite real scalar, got {_shown(value)}")
     return value
 
 

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import GridSpec, ScalarField, _index, _positive
+from .grid import GridSpec, ScalarField, _index, _positive, _shown
 
 __all__ = [
     "ManifestError",
@@ -102,7 +102,9 @@ class Manifest:
         except (TypeError, OverflowError):  # no length, or an int beyond float
             valid = False
         if not valid:
-            raise ManifestError(f"intensity_range needs reals lo < hi, finite span, got {rng!r}")
+            raise ManifestError(
+                f"intensity_range needs reals lo < hi, finite span, got {_shown(rng)}"
+            )
 
     @property
     def frame_count(self) -> int:
@@ -197,8 +199,8 @@ def load_sequence(manifest: Manifest, i: int, j: int):
     """
     if not (0 <= _index("i", i) < _index("j", j) < manifest.frame_count):
         raise ValueError(
-            f"frame pair ({i}, {j}) out of range for {manifest.frame_count} frames; "
-            "need 0 <= i < j < frame_count"
+            f"frame pair ({_shown(i)}, {_shown(j)}) out of range for "
+            f"{manifest.frame_count} frames; need 0 <= i < j < frame_count"
         )
     spec = manifest.spec
     lo, hi = manifest.intensity_range

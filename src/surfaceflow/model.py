@@ -16,18 +16,20 @@ rounding and descent methods inherit exact monotonicity.
 Summations use np.sum, whose pairwise reduction is deterministic for a fixed
 shape, so energies and gradients are bitwise reproducible.
 
-The covariant derivative is one (2, 2, height, width) array d[i, j] = D_j u^i,
-and each stencil or adjoint runs once per axis on both components.  Sums and
-products run in place through scratch arrays, each element's operations in
+Every energy pass starts from one fill, ``_terms``: one scratch block, holding
+the covariant derivative d[i, j] = D_j u^i as one (2, 2, height, width) array
+and the residual r.  Each stencil or adjoint runs once per axis on both
+components, and sums and products run in place, each element's operations in
 the order of the term-by-term formulas, so the layout changes no bit.
 
 A problem builds the arrays these sums read once, at construction, into one
 private, immutable bundle of plain arrays (``FlowProblem._ops``, built and
-checked by ``_operands``): the grid spec, alpha, sqrt(det g), the six
-Christoffel arrays as given (G^1_11, G^1_12, G^1_22, G^2_11, G^2_12, G^2_22)
-and the table ``gamma[i][j][k]`` of the same arrays, fx1, fx2, ft, w and
-alpha * w.  The solver's A is the same bundle with a zero ft; a coarse
-bundle samples the six arrays in that order and recomputes w from 2h.
+checked by ``_operands``): the grid spec, alpha, sqrt(det g), the tuple of the
+six Christoffel arrays G^1_11, G^1_12, G^1_22, G^2_11, G^2_12, G^2_22 (G^i_jk,
+from 0, is ``christoffel[3*i + j + k]``, as G is symmetric in j and k), fx1,
+fx2, ft, w and alpha * w.  The solver's A is the same bundle with a zero ft; a
+coarse bundle samples the six arrays in that order and recomputes w from
+(2h)^2 rather than scaling w by 4.
 """
 
 from __future__ import annotations
@@ -53,9 +55,8 @@ class FlowProblem:
     intensity sequence evaluated on the grid; ``alpha``, a positive finite
     real scalar, weights the data term against the regularizer.  Construction
     builds the arrays the energy reads once, as the bundle ``_ops`` (the module
-    docstring lists them), and checks alpha, w and the data term on it.  A's
-    bundle is the same with a zero ft, and a coarse bundle, from every other
-    sample with h doubled, recomputes w from (2h)^2 rather than scaling w by 4.
+    docstring lists them, with A's and a coarse level's), and checks alpha, w
+    and the data term on it.
     """
 
     geom: SurfaceGeometry
@@ -79,14 +80,14 @@ class FlowProblem:
         return self.geom.spec
 
 
-_Operands = namedtuple("_Operands", "spec alpha sqrt_detg christoffel gamma fx1 fx2 ft w alpha_w")
+_Operands = namedtuple("_Operands", "spec alpha sqrt_detg christoffel fx1 fx2 ft w alpha_w")
 
 
 def _operands(spec, alpha, sqrt_detg, christoffel, fx1, fx2, ft) -> _Operands:
-    """The bundle on ``spec``, with ``christoffel`` as given, the six arrays G^1_11,
-    G^1_12, G^1_22, G^2_11, G^2_12, G^2_22, and its ``gamma[i][j][k]`` G^i_jk (from 0:
-    component i, derivative j, flow component k) from them; ``ValueError`` unless
-    alpha is a positive finite real scalar and w and the data term are finite."""
+    """The bundle on ``spec``, with ``christoffel`` as one tuple of the six arrays
+    G^1_11, G^1_12, G^1_22, G^2_11, G^2_12, G^2_22, so that G^i_jk (from 0: component
+    i, derivative j, flow component k) is ``christoffel[3*i + j + k]``; ``ValueError``
+    unless alpha is a positive finite real scalar and w and the data term are finite."""
     _positive("alpha", alpha)
     w = np.multiply(sqrt_detg, spec.h * spec.h)
     if not np.all(np.isfinite(w)):
@@ -100,9 +101,7 @@ def _operands(spec, alpha, sqrt_detg, christoffel, fx1, fx2, ft) -> _Operands:
             "overflows; rescale the intensities"
         )
     w.flags.writeable = alpha_w.flags.writeable = False
-    c = tuple(christoffel)
-    gamma = ((c[0], c[1]), (c[1], c[2])), ((c[3], c[4]), (c[4], c[5]))
-    return _Operands(spec, alpha, sqrt_detg, c, gamma, fx1, fx2, ft, w, alpha_w)
+    return _Operands(spec, alpha, sqrt_detg, tuple(christoffel), fx1, fx2, ft, w, alpha_w)
 
 
 def problem_from_frames(
@@ -161,23 +160,31 @@ def _residual_array(ops: _Operands, u: np.ndarray, work=None, out=None) -> np.nd
     return r
 
 
-def _covd_arrays(ops: _Operands, u: np.ndarray, work=None, out=None) -> np.ndarray:
-    """d[i, j] = D_j u^i = d_j u^i + G^i_j1 u^1 + G^i_j2 u^2 as one (2, 2, height, width) array."""
-    h = ops.spec.h
-    d = np.empty((2,) + u.shape) if out is None else out
+def _terms(ops: _Operands, u: np.ndarray):
+    """The scratch block of one energy pass, filled: (d, adjoint, r, work), with the
+    covariant derivative d and the residual r written, and adjoint and work free."""
+    h, shape = ops.spec.h, u.shape[1:]
+    # One block holds all scratch: d, the second adjoint, r and the product
+    # buffer.  glibc gives its heap top back to the system once more than twice
+    # the largest block freed so far lies free there; as separate arrays they
+    # crossed that bound on every call, so each call faulted its pages in again.
+    block = np.empty((8,) + shape)
+    d, adjoint, (r, work) = block[:4].reshape((2, 2) + shape), block[4:6], block[6:]
     diff_x1_array(u, h, out=d[:, 0])
     diff_x2_array(u, h, out=d[:, 1])
     for i, j, k in itertools.product(range(2), repeat=3):
-        d[i, j] += np.multiply(ops.gamma[i][j][k], u[k], out=work)
-    return d
+        d[i, j] += np.multiply(ops.christoffel[3 * i + j + k], u[k], out=work)
+    _residual_array(ops, u, work, out=r)
+    return d, adjoint, r, work
 
 
 def _energy_arrays(ops: _Operands, u: np.ndarray) -> float:
     """:func:`energy` on the flow held as one array."""
-    return _energy_sum(ops.alpha, ops.w, _residual_array(ops, u), _covd_arrays(ops, u))
+    d, _, r, work = _terms(ops, u)
+    return _energy_sum(ops.alpha, ops.w, r, d, work)
 
 
-def _energy_sum(alpha, w, r, d, work=None) -> float:
+def _energy_sum(alpha, w, r, d, work) -> float:
     """1/2 sum of w (alpha r^2 + d11^2 + d12^2 + d21^2 + d22^2), summed left to right."""
     total = np.multiply(r, alpha)
     total *= r
@@ -198,22 +205,14 @@ def _gradient_arrays(ops: _Operands, u: np.ndarray, with_energy: bool = False):
     and covariant derivative: (energy, gradient).
     """
     h = ops.spec.h
-    shape = u.shape[1:]
-    # One block holds all scratch: d, the second adjoint, r and the product
-    # buffer.  glibc gives its heap top back to the system once more than twice
-    # the largest block freed so far lies free there; as separate arrays they
-    # crossed that bound on every call, so each call faulted its pages in again.
-    block = np.empty((8,) + shape)
-    d, adjoint, (r, work) = block[:4].reshape((2, 2) + shape), block[4:6], block[6:]
-    _covd_arrays(ops, u, work, out=d)
-    _residual_array(ops, u, work, out=r)
+    d, adjoint, r, work = _terms(ops, u)
     if with_energy:
         value = _energy_sum(ops.alpha, ops.w, r, d, work)
     s = np.multiply(d, ops.w, out=d)  # s_ij = w d_ij, in d's place
     g = diff_x1_adjoint_array(s[:, 0], h, out=np.empty(u.shape))
     g += diff_x2_adjoint_array(s[:, 1], h, out=adjoint)
     for m, k, j in itertools.product(range(2), repeat=3):
-        g[m] += np.multiply(ops.gamma[k][j][m], s[k, j], out=work)
+        g[m] += np.multiply(ops.christoffel[3 * k + j + m], s[k, j], out=work)
     # alpha w r, then the data term alpha w r f_m
     r *= ops.alpha_w
     g[0] += np.multiply(r, ops.fx1, out=work)

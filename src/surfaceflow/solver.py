@@ -32,8 +32,8 @@ after the sweep; b = g - sum c * u comes from the stencil and the starting
 gradient g.  CG keeps the matrix-free apply and takes its preconditioner
 blocks from the diagonal probe.  The inverted blocks are a stacked diagonal
 (i11, i22) and an off-diagonal i12, and ``_block_solve`` alone applies them,
-as SOR's color update and as CG's block Jacobi preconditioner.  CG updates its
-vectors in place, through one scratch array.
+as SOR's color update and as CG's block Jacobi preconditioner.  CG takes the
+starting gradient as its residual and updates every vector in place.
 
 Every two-component array, the flow as well as gradients, residuals and
 Krylov vectors, is one (2, height, width) array, component first.  ``solve``
@@ -99,8 +99,7 @@ class SolverConfig:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {list(METHODS)}")
         _positive("tol", self.tol)
-        if _index("max_iter", self.max_iter) < 1:
-            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
+        _index("max_iter", self.max_iter, least=1)
 
 
 @dataclass(frozen=True)
@@ -334,8 +333,8 @@ def _sor_steps(homogeneous, g, u):
 def _cg_steps(homogeneous, g, u):
     """Conjugate gradients on A u = -b from the gradient ``g`` at ``u``,
     preconditioned by the 2x2 blocks; yields the recurrence residual's
-    max-norm and ends on a direction of zero curvature.  r, z and p are
-    updated in place, every product through one scratch array."""
+    max-norm and ends on a direction of zero curvature.  r = -g takes g's
+    place, and r, z and p update in place, every product through one scratch array."""
     diagonal, off_diagonal = _inverse_blocks(_probe(homogeneous, _STENCIL[:1])[0])
     work = np.empty_like(g)
 
@@ -344,7 +343,7 @@ def _cg_steps(homogeneous, g, u):
         xy = np.multiply(x, y, out=work)
         return float(np.sum(xy[0]) + np.sum(xy[1]))
 
-    r = -g
+    r = np.negative(g, out=g)
     z = _block_solve(diagonal, off_diagonal, r)
     p = z.copy()
     rz = dot(r, z)

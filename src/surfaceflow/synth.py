@@ -29,12 +29,11 @@ studies.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grid import GridSpec, ScalarField, VectorField, _index, coordinate_arrays
+from .grid import GridSpec, ScalarField, VectorField, _index, _positive, coordinate_arrays
 
 __all__ = [
     "GaussianPattern",
@@ -208,11 +207,8 @@ class SyntheticScene:
 
     def __post_init__(self) -> None:
         _index("seed", self.seed)
-        if _index("frame_count", self.frame_count) < 2:
-            raise ValueError(f"frame_count must be at least 2, got {self.frame_count}")
-        noise = self.noise_sigma
-        if not (isinstance(noise, numbers.Real) and 0 <= noise < math.inf):
-            raise ValueError(f"noise_sigma must be a non-negative finite real, got {noise!r}")
+        _index("frame_count", self.frame_count, least=2)
+        _positive("noise_sigma", self.noise_sigma, zero=True)
 
 
 def render(scene: SyntheticScene):
@@ -308,8 +304,7 @@ def make_scene(
     Surface heights are in pixels as well, scaled with the grid so slopes
     stay moderate and size-independent.
     """
-    if _index("size", size) < 3:
-        raise ValueError(f"size must be at least 3, got {size}")
+    _index("size", size, least=3)
     if name not in _CATALOG:
         raise ValueError(f"unknown scene {name!r}; expected one of {SCENE_NAMES}")
     extent = float(size - 1)

@@ -40,7 +40,7 @@ from surfaceflow.grid import (
     diff_x2_array,
 )
 from surfaceflow.io import COLOR_WHEEL, wheel_position
-from surfaceflow.model import FlowProblem, _covd_arrays, _gradient_arrays
+from surfaceflow.model import FlowProblem, _gradient_arrays, _terms
 from surfaceflow.solver import SolverConfig, _STENCIL, _inverse_blocks, _probe
 from surfaceflow.synth import MovingBump
 
@@ -408,7 +408,7 @@ def covariant_derivative(geom: SurfaceGeometry, u: VectorField) -> CovariantDeri
         raise ValueError("vector field does not match the geometry grid spec")
     zero = ScalarField.zeros(geom.spec)
     ops = FlowProblem(geom, zero, zero, zero)._ops
-    (d11, d12), (d21, d22) = _covd_arrays(ops, np.stack((u.u1.values, u.u2.values)))
+    (d11, d12), (d21, d22) = _terms(ops, np.stack((u.u1.values, u.u2.values)))[0]
     wrap = lambda a: ScalarField(geom.spec, a)
     return CovariantDerivative(wrap(d11), wrap(d12), wrap(d21), wrap(d22))
 
@@ -529,8 +529,8 @@ def termwise_gradient(ops, u: np.ndarray, with_energy: bool = False):
 
 
 def _christoffel_values(ops):
-    """G^1_11, G^1_12, G^1_22, G^2_11, G^2_12, G^2_22 from the bundle's table."""
-    return tuple(gamma[j][k] for gamma in ops.gamma for j, k in ((0, 0), (0, 1), (1, 1)))
+    """G^1_11, G^1_12, G^1_22, G^2_11, G^2_12, G^2_22: the bundle's tuple, in its order."""
+    return ops.christoffel
 
 
 def a_bundle(problem: FlowProblem):

@@ -140,6 +140,15 @@ class TestSynthCommand:
         capsys.readouterr()
         assert code == 2
 
+    # an int beyond the float range is a usage error naming the argument, and
+    # nothing is written
+    @pytest.mark.parametrize("flag, name", [("--size", "size"), ("--frames", "frame_count")])
+    def test_count_beyond_float_range_is_usage_error(self, tmp_path, capsys, flag, name):
+        out = tmp_path / "x"
+        assert main(["synth", "flat-static", "--out", str(out), flag, str(10**400)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {name} must be at least")
+        assert not out.exists()
+
 
 class TestFlowCommand:
     def test_translation_defaults_recover_flow(self, tmp_path, capsys, translation_dir):
@@ -576,7 +585,7 @@ class TestLongSequence:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1 and "frame_0058.pfm" in err
 
-    @pytest.mark.parametrize("i, j", [(1, 1), (-1, 0)])
+    @pytest.mark.parametrize("i, j", [(1, 1), (-1, 0), pytest.param(0, 10**5000, id="0-beyond-str")])
     def test_bad_pair_is_value_error(self, long_bump, i, j):
         manifest = read_manifest(long_bump[0] / "manifest.txt")
         with pytest.raises(ValueError, match="out of range") as info:

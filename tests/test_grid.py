@@ -63,6 +63,11 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(**kwargs)
 
+    def test_refused_side_beyond_the_string_limit_is_named(self):
+        # -10**5000 has more digits than Python converts to a string
+        with pytest.raises(ValueError, match=r"^grid must be at least 3x3 .* got an int of"):
+            GridSpec(-(10**5000), 5)
+
 
 class TestScalarField:
     def test_rejects_nonfinite(self):
@@ -358,9 +363,12 @@ class TestPositiveRule:
     @pytest.mark.parametrize("entry", POSITIVE_ENTRIES)
     @pytest.mark.parametrize(
         "value",
-        # 10**400 compares below inf exactly but overflows a float
-        [0, -1, float("nan"), float("inf"), 10**400, "1", np.array([1.0]), np.array([1e-6])],
-        ids=["zero", "negative", "nan", "inf", "int-beyond-float", "str", "array", "array-tol"],
+        # 10**400 compares below inf exactly but overflows a float, and 10**5000
+        # has more digits than Python converts to a string
+        [0, -1, float("nan"), float("inf"), 10**400, 10**5000, "1", np.array([1.0]),
+         np.array([1e-6])],
+        ids=["zero", "negative", "nan", "inf", "int-beyond-float", "int-beyond-str", "str",
+             "array", "array-tol"],
     )
     def test_refused_with_the_argument_named(self, entry, value):
         name, call = POSITIVE_ENTRIES[entry]

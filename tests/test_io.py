@@ -338,7 +338,8 @@ class TestManifest:
     # a non-real end, a range of other than two values, and ends whose span
     # overflows a float
     @pytest.mark.parametrize(
-        "rng", [("0", "2"), (0, "2"), (0, None), (0, 1, 2), (0,), 5, "01", (0, 10**400)]
+        "rng",
+        [("0", "2"), (0, "2"), (0, None), (0, 1, 2), (0,), 5, "01", (0, 10**400), (0, 10**5000)],
     )
     def test_malformed_intensity_range(self, rng):
         with pytest.raises(ManifestError, match="intensity_range"):

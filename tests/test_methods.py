@@ -3,8 +3,8 @@
 A method is a row of the solver's method table.  Naming one there, and giving
 its apply budget a row in ``BUDGETS``, runs every test here for it: converged
 flows are stationary and match the sparse oracle, repeats are bitwise, the
-stop reasons and the apply budget are as documented, and textureless frames
-cost nothing.  Three metamorphic relations need no oracle, so they check the
+stop reasons and the apply budget are as documented, grids with an even side
+and steep surfaces match the oracle too, and textureless frames cost nothing.  Three metamorphic relations need no oracle, so they check the
 discretisation itself (Chen et al., "Metamorphic testing: a review of
 challenges and opportunities", ACM Computing Surveys 51(1), 2018):
 transposing a problem transposes its flow and swaps u1 and u2; mirroring it in
@@ -217,6 +217,42 @@ class TestNestedStart:
         assert same_bits(flow_a.u1.values, flow_b.u1.values)
         assert same_bits(flow_a.u2.values, flow_b.u2.values)
         assert report_a == report_b
+
+
+class TestOracleEdgeCases:
+    """The oracle's gradient and energy at the returned flow, to rounding, where
+    the nested start stays off and where det g spans sixteen decades."""
+
+    # an even side gets no nested start, so the fine level starts cold
+    @pytest.mark.parametrize("height, width", [(64, 64), (63, 64), (129, 130)])
+    @pytest.mark.parametrize("surface", ["flat", "curved", "evolving"])
+    def test_grid_with_an_even_side(self, height, width, surface, method):
+        prob = drawn_problem(height, width, surface, np.random.default_rng(height + width))
+        config = SolverConfig(method=method, tol=1e-6)
+        flow, report = solve(prob, config)
+        assert report.converged and report.grad_inf_norm <= config.tol
+        gradient, value = oracle_gradient_and_energy(prob, flow)
+        assert abs(gradient - report.grad_inf_norm) <= 1e-12 * max(1.0, gradient)
+        assert abs(value - report.energy_final) <= 1e-12 * abs(value)
+
+    # paraboloid z = s * ((x1 - 8)^2 + (x2 - 8)^2) / 16 under the flat-translate
+    # frames: edge slopes reach s, so det g ranges from 1 at the apex to about
+    # 2 * s^2 at the corners.  The gradient's rounding grows with det g, so only
+    # the energy is held to the oracle.
+    @pytest.mark.parametrize("scale", [1e2, 1e4, 1e6, 1e8])
+    def test_steep_surface(self, scale, method):
+        scene = make_scene("flat-translate", size=17, frame_count=2, noise_sigma=1e-3, seed=1)
+        frames, _, _ = render(scene)
+        z = ScalarField.from_function(
+            frames[0].spec, lambda x1, x2: scale * ((x1 - 8.0) ** 2 + (x2 - 8.0) ** 2) / 16.0
+        )
+        prob = problem_from_frames(frames[0], frames[1], build_geometry(z), alpha=10.0)
+        flow, report = solve(prob, SolverConfig(method=method, tol=1e-6), track_energy=True)
+        assert report.converged
+        trace = np.array(report.energy_trace)
+        assert np.all(trace[1:] <= trace[:-1] + 1e-12 * np.abs(trace[:-1]))
+        _, value = oracle_gradient_and_energy(prob, flow)
+        assert abs(value - report.energy_final) <= 1e-12 * abs(value)
 
 
 class TestTexturelessFrames:

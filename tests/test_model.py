@@ -10,9 +10,9 @@ from surfaceflow.grid import GridSpec, ScalarField, VectorField, coordinate_arra
 from surfaceflow.geometry import build_geometry
 from surfaceflow.model import (
     FlowProblem,
-    _covd_arrays,
     _energy_arrays,
     _gradient_arrays,
+    _terms,
     energy,
     energy_gradient,
     ofc_residual,
@@ -340,7 +340,7 @@ class TestEnergyGradient:
 class TestBundle:
     def test_holds_the_problem_arrays(self, rng):
         # the problem's own read-only arrays, the Christoffel table laid out
-        # as G^i_jk = gamma[i][j][k], and w and alpha w computed once
+        # as G^i_jk = christoffel[3*i + j + k], and w and alpha w computed once
         prob = random_problem(GridSpec(7, 6, h=0.5), rng, alpha=3.0, curved=True)
         ops, geom = prob._ops, prob.geom
         assert ops is prob._ops and ops.spec == prob.spec and ops.alpha == prob.alpha
@@ -349,7 +349,7 @@ class TestBundle:
         assert ops.ft is prob.ft.values
         for i, j, k in itertools.product(range(2), repeat=3):
             name = f"gamma{i + 1}_{min(j, k) + 1}{max(j, k) + 1}"
-            assert ops.gamma[i][j][k] is getattr(geom, name).values
+            assert ops.christoffel[3 * i + j + k] is getattr(geom, name).values
         w = geom.sqrt_detg.values * (0.5 * 0.5)
         assert same_bits(ops.w, w) and same_bits(ops.alpha_w, 3.0 * w)
         assert not (ops.w.flags.writeable or ops.alpha_w.flags.writeable)
@@ -396,7 +396,7 @@ class TestGradientMatchesTermwise:
         assert value == ref_value == _energy_arrays(ops, u)
         assert same_bits(g, ref_g)
         assert same_bits(_gradient_arrays(ops, u), ref_g)
-        d = _covd_arrays(ops, u)
+        d = _terms(ops, u)[0]
         for mine, ref in zip(d.reshape((4,) + spec.shape), termwise_covd(ops, u)):
             assert same_bits(mine, ref)
 

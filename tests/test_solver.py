@@ -79,6 +79,7 @@ class TestSolverConfig:
             dict(max_iter=0),
             dict(max_iter=2.5),
             dict(max_iter=10.0),
+            dict(max_iter=10**5000),
         ],
     )
     def test_invalid(self, kwargs):
@@ -665,8 +666,7 @@ class TestNestedStart:
         rng = np.random.default_rng(7)
         prob = drawn_problem(129, 131, surface, rng)
         ops = prob._ops
-        tables = lambda ops: [ops.gamma[i][j][k] for i, j, k in itertools.product(range(2), repeat=3)]
-        arrays = lambda ops: [ops.sqrt_detg, ops.fx1, ops.fx2, ops.ft] + tables(ops)
+        arrays = lambda ops: [ops.sqrt_detg, ops.fx1, ops.fx2, ops.ft, *ops.christoffel]
         before = [a.copy() for a in arrays(ops)]
         coarse = solver._coarsen(ops)
         spec = prob.spec

@@ -93,6 +93,14 @@ class TestSceneValidation:
         with pytest.raises(ValueError, match="^noise_sigma"):
             make_scene("flat-translate", size=17, noise_sigma=noise_sigma)
 
+    # ints beyond the float range, one with more digits than Python converts to a
+    # string, are refused by name at construction, before render would overflow
+    @pytest.mark.parametrize("value", [10**400, 10**5000], ids=["beyond-float", "beyond-str"])
+    @pytest.mark.parametrize("name", ["size", "frame_count", "noise_sigma"])
+    def test_int_beyond_float_range(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            make_scene("flat-static", **{"size": 9, name: value})
+
     @pytest.mark.parametrize("noise_sigma", [0, 0.0, np.float64(0.0), np.float32(1e-3)])
     def test_zero_and_numpy_noise_sigma_accepted(self, noise_sigma):
         scene = make_scene("flat-translate", size=17, noise_sigma=noise_sigma)
