@@ -49,11 +49,8 @@ class GridSpec:
     dt: float = 1.0
 
     def __post_init__(self) -> None:
-        if _index("width", self.width) < 3 or _index("height", self.height) < 3:
-            raise ValueError(
-                f"grid must be at least 3x3 for central differences, "
-                f"got {_shown(self.width)}x{_shown(self.height)}"
-            )
+        _index("width", self.width, least=3)  # 3 samples for central differences
+        _index("height", self.height, least=3)
         _positive("h", self.h)
         _positive("dt", self.dt)
 
@@ -75,14 +72,15 @@ def _shown(value) -> str:
 
 def _index(name: str, value, least: int | None = None) -> int:
     """``operator.index(value)``, so numpy ints pass; ``ValueError`` naming ``name`` if
-    not, or, given ``least``, if below ``least`` or beyond the float range."""
+    not, or, given ``least``, if outside ``least`` to ``sys.maxsize``, the largest count
+    that numpy shapes and ``itertools.islice`` take."""
     try:
         index = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {_shown(value)}") from None
-    if least is not None and not least <= index <= sys.float_info.max:
+    if least is not None and not least <= index <= sys.maxsize:
         raise ValueError(
-            f"{name} must be at least {least} and within the float range, got {_shown(index)}"
+            f"{name} must be at least {least} and at most {sys.maxsize}, got {_shown(index)}"
         )
     return index
 

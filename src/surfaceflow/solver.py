@@ -79,7 +79,8 @@ OMEGA = 1.9
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Iteration controls; ``tol`` bounds the max-norm of the energy gradient.
+    """Iteration controls; ``tol`` bounds the max-norm of the energy gradient, and
+    ``max_iter``, an int from 1 to ``sys.maxsize``, the iterations on each level.
 
     ``tol`` is absolute, and a computed gradient is exact only to the
     rounding of its terms, about 1e-16 times their size.  A ``tol`` near or
@@ -123,8 +124,7 @@ class SolverReport:
     coarse_iterations: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.iterations < 0:
-            raise ValueError("iterations must be non-negative")
+        _index("iterations", self.iterations, least=0)
         if self.stop_reason not in ("converged", "max_iter", "breakdown"):
             raise ValueError(f"unknown stop_reason {self.stop_reason!r}")
         for name in ("energy_initial", "energy_final", "grad_inf_norm"):

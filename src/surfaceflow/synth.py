@@ -206,7 +206,7 @@ class SyntheticScene:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _index("seed", self.seed)
+        _index("seed", self.seed, least=0)
         _index("frame_count", self.frame_count, least=2)
         _positive("noise_sigma", self.noise_sigma, zero=True)
 

@@ -149,8 +149,29 @@ class TestSynthCommand:
         assert capsys.readouterr().err.startswith(f"error: {name} must be at least")
         assert not out.exists()
 
+    # so is a seed below 0, which numpy refuses only while rendering, and a size
+    # beyond sys.maxsize, the largest numpy shape
+    @pytest.mark.parametrize(
+        "flag, value, name", [("--seed", "-1", "seed"), ("--size", str(sys.maxsize + 1), "size")]
+    )
+    def test_count_out_of_range_is_usage_error(self, tmp_path, capsys, flag, value, name):
+        out = tmp_path / "x"
+        assert main(["synth", "flat-static", "--out", str(out), flag, value]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {name} must be at least")
+        assert not out.exists()
+
 
 class TestFlowCommand:
+    # a max_iter beyond sys.maxsize, the largest islice takes, is a usage error
+    # naming the argument, and nothing is written
+    def test_max_iter_beyond_maxsize_is_usage_error(self, tmp_path, capsys, translation_dir):
+        out = tmp_path / "run"
+        manifest = str(translation_dir / "manifest.txt")
+        big = str(sys.maxsize + 1)
+        assert main(["flow", "--manifest", manifest, "--out", str(out), "--max-iter", big]) == 2
+        assert capsys.readouterr().err.startswith("error: max_iter must be at least")
+        assert not out.exists()
+
     def test_translation_defaults_recover_flow(self, tmp_path, capsys, translation_dir):
         out = tmp_path / "run"
         code, report = run_cli(

@@ -1,3 +1,6 @@
+import re
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,6 +10,7 @@ from surfaceflow.grid import (
     GridSpec,
     ScalarField,
     VectorField,
+    _index,
     coordinate_arrays,
     diff_t,
     diff_x1,
@@ -20,7 +24,8 @@ from surfaceflow.grid import (
 from surfaceflow.geometry import flat_geometry
 from surfaceflow.io import colorize
 from surfaceflow.model import FlowProblem
-from surfaceflow.solver import SolverConfig
+from surfaceflow.solver import SolverConfig, SolverReport
+from surfaceflow.synth import make_scene
 
 from conftest import same_bits
 from reference import (
@@ -62,11 +67,6 @@ class TestGridSpec:
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             GridSpec(**kwargs)
-
-    def test_refused_side_beyond_the_string_limit_is_named(self):
-        # -10**5000 has more digits than Python converts to a string
-        with pytest.raises(ValueError, match=r"^grid must be at least 3x3 .* got an int of"):
-            GridSpec(-(10**5000), 5)
 
 
 class TestScalarField:
@@ -379,3 +379,80 @@ class TestPositiveRule:
     @pytest.mark.parametrize("value", [2, np.int64(2), np.float32(0.5), np.float64(1e-6)])
     def test_numpy_scalars_pass(self, entry, value):
         POSITIVE_ENTRIES[entry][1](value)
+
+
+def _report(iterations):
+    return SolverReport(method="cg", converged=True, iterations=iterations, energy_initial=0.0,
+                        energy_final=0.0, grad_inf_norm=0.0)
+
+
+# every count the library takes: (the name its errors give, its floor, a call that
+# passes it the one value); none of them renders, builds a field or solves
+COUNT_ENTRIES = {
+    "GridSpec.width": ("width", 3, lambda v: GridSpec(v, 3)),
+    "GridSpec.height": ("height", 3, lambda v: GridSpec(3, v)),
+    "make_scene.size": ("size", 3, lambda v: make_scene("flat-static", size=v)),
+    "make_scene.frame_count": (
+        "frame_count", 2, lambda v: make_scene("flat-static", size=9, frame_count=v)
+    ),
+    "make_scene.seed": ("seed", 0, lambda v: make_scene("flat-static", size=9, seed=v)),
+    "SolverConfig.max_iter": ("max_iter", 1, lambda v: SolverConfig(max_iter=v)),
+    "SolverReport.iterations": ("iterations", 0, _report),
+}
+
+
+class TestCountRule:
+    """One rule for every count: an int, numpy ints included, from the count's
+    floor to ``sys.maxsize``, else a ValueError that names the argument."""
+
+    @pytest.mark.parametrize("entry", COUNT_ENTRIES)
+    @pytest.mark.parametrize(
+        "value, shown",
+        # sys.maxsize + 1 is within the float range but beyond every numpy shape,
+        # 10**400 is beyond the float range, and ±10**5000 has more digits than
+        # Python converts to a string, so the message gives their bit lengths
+        [(lambda least: least - 1, None),
+         (lambda least: -(10**5000), "an int of 16610 bits"),
+         (lambda least: sys.maxsize + 1, None),
+         (lambda least: 10**400, "an int of 1329 bits"),
+         (lambda least: 10**5000, "an int of 16610 bits")],
+        ids=["below-floor", "minus-beyond-str", "maxsize-plus-1", "beyond-float", "beyond-str"],
+    )
+    def test_out_of_range_refused(self, entry, value, shown):
+        name, least, call = COUNT_ENTRIES[entry]
+        value = value(least)
+        message = f"{name} must be at least {least} and at most {sys.maxsize}, got "
+        with pytest.raises(ValueError, match=f"^{re.escape(message + (shown or repr(value)))}$"):
+            call(value)
+
+    @pytest.mark.parametrize("entry", COUNT_ENTRIES)
+    @pytest.mark.parametrize(
+        "value",
+        [lambda least: 2.5, float, str, lambda least: None, lambda least: np.array([least])],
+        ids=["fraction", "float", "str", "none", "array"],
+    )
+    def test_non_integer_refused(self, entry, value):
+        name, least, call = COUNT_ENTRIES[entry]
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got "):
+            call(value(least))
+
+    @pytest.mark.parametrize("entry", COUNT_ENTRIES)
+    @pytest.mark.parametrize(
+        "value",
+        [lambda least: least, np.int64, np.int32, lambda least: sys.maxsize],
+        ids=["floor", "int64", "int32", "maxsize"],
+    )
+    def test_floor_to_maxsize_accepted(self, entry, value):
+        _, least, call = COUNT_ENTRIES[entry]
+        call(value(least))
+
+    @given(value=st.integers(), least=st.sampled_from([0, 1, 2, 3]))
+    @example(value=sys.maxsize, least=0)
+    @example(value=sys.maxsize + 1, least=0)
+    @settings(max_examples=200, deadline=None)
+    def test_index_returns_exactly_the_values_in_range(self, value, least):
+        if least <= value <= sys.maxsize:
+            assert _index("n", value, least=least) == value
+        else:
+            with pytest.raises(ValueError, match=f"^n must be at least {least}"):
+                _index("n", value, least=least)

@@ -58,10 +58,6 @@ def unit_domain_scene(n, motion, sigma=0.2, frame_count=3):
 
 
 class TestSceneValidation:
-    def test_frame_count(self):
-        with pytest.raises(ValueError):
-            make_scene("flat-translate", size=17, frame_count=1)
-
     @pytest.mark.parametrize(
         "kwargs", [dict(frame_count=3.0), dict(frame_count="3"), dict(seed=2.5), dict(seed=None)]
     )
