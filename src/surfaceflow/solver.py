@@ -24,16 +24,16 @@ are R's bitwise.  The inverted 2x2 diagonal blocks are the offset-0 slice.
 Block SOR sweeps the diagonal probe's colors.  Same-color unknowns never
 couple, so a color's principal submatrix is its 2x2 blocks, and an exact block
 update changes the energy by -omega*(1 - omega/2) * g^T A_BB^{-1} g <= 0 for
-omega in (0, 2): every sweep is monotone in exact arithmetic.  The stencil, b
-and the inverted blocks are stored color by color, so a color's residual
-b + sum c * u on its own points is one gather of the flow (padded by two
-zeros) and one sum, and a sweep's stopping residual is the max of these sums
-after the sweep; b = g - sum c * u comes from the stencil and the starting
-gradient g.  CG keeps the matrix-free apply and takes its preconditioner
-blocks from the diagonal probe.  The inverted blocks are a stacked diagonal
-(i11, i22) and an off-diagonal i12, and ``_block_solve`` alone applies them,
-as SOR's color update and as CG's block Jacobi preconditioner.  CG takes the
-starting gradient as its residual and updates every vector in place.
+omega in (0, 2), monotone in exact arithmetic, and scales the color's residual
+by 1 - omega.  The stencil, b = g - sum c * u and the inverted blocks are
+stored color by color; a color's residual b + sum c * u is one gather of the
+padded flow through one flat index and one sum, and its update writes through
+the index's offset-0 row.  A sweep makes four sums, for the middle and last
+colors' updates and the middle color's and color 0's stopping residuals; color
+0's also serves the next sweep's update, and the last color's stopping
+residual is its update's times 1 - omega.  CG keeps the matrix-free apply;
+``_block_solve`` alone applies the inverted blocks, as SOR's color update and
+as CG's block Jacobi preconditioner, whose blocks come from the diagonal probe.
 
 Every two-component array, the flow as well as gradients, residuals and
 Krylov vectors, is one (2, height, width) array, component first.  ``solve``
@@ -42,12 +42,13 @@ trace: it checks the initial guess, caps the steps at ``max_iter`` and stops
 once a step's max-norm is within ``tol``.  Each method is a step generator,
 in the table ``_STEPS`` at the end, that sets itself up on its first step,
 then updates the flow in place and yields the gradient max-norm it computes:
-SOR's from the probed stencil, CG's recurrence residual; both differ from the
-true gradient by rounding.  So the report's ``grad_inf_norm`` and
-``converged`` read the true gradient at the returned flow.  Its
-``stop_reason`` says why the steps stopped: ``converged`` (a step's max-norm,
-or the initial guess's gradient, met ``tol``), ``max_iter``, or ``breakdown``
-(the generator ended first, as CG's does on a direction of zero curvature).
+SOR's from the probed stencil, its last color's by the 1 - omega recurrence,
+and CG's recurrence residual; each differs from the true gradient by
+rounding.  So the report's ``grad_inf_norm`` and ``converged`` read the true
+gradient at the returned flow.  Its ``stop_reason`` says why the steps
+stopped: ``converged`` (a step's max-norm, or the initial guess's gradient,
+met ``tol``), ``max_iter``, or ``breakdown`` (the generator ended first, as
+CG's does on a direction of zero curvature).
 
 Counted in gradient applies, a solve that iterates costs 1 at setup (the
 gradient and energy at the initial flow), then the probe, 20 for SOR or 6
@@ -84,12 +85,13 @@ class SolverConfig:
 
     ``tol`` is absolute, and a computed gradient is exact only to the
     rounding of its terms, about 1e-16 times their size.  A ``tol`` near or
-    below that floor is not attainable: CG may then stop on its recurrence
-    residual with ``converged`` False, or step on rounding noise until the
-    energy rises and the report raises ``ValueError``.  A cold solve on a grid
-    with both sides odd and above 65 runs this config on each coarse level too.
-    ``method`` is one of ``METHODS``, the keys of the method table ``_STEPS`` at
-    the end of the module; SOR relaxes by the fixed ``OMEGA`` = 1.9.
+    below that floor is not attainable: CG, or SOR on its last color's
+    recurrence, may then stop with ``converged`` False, or step on rounding
+    noise until the energy rises and the report raises ``ValueError``.  A cold
+    solve on a grid with both sides odd and above 65 runs this config on each
+    coarse level too.  ``method`` is one of ``METHODS``, the keys of the method
+    table ``_STEPS`` at the end of the module; SOR relaxes by the fixed
+    ``OMEGA`` = 1.9.
     """
 
     method: str = "cg"
@@ -294,15 +296,20 @@ def _block_solve(diagonal, off_diagonal, r, out=None, work=None):
 
 
 def _sor_steps(homogeneous, g, u):
-    """Exact block SOR over the diagonal probe's colors from the gradient ``g`` at ``u``."""
+    """Exact block SOR over the diagonal probe's colors from the gradient ``g`` at ``u``.
+
+    The last color's stopping residual is a recurrence estimate, as CG's
+    residual is: it leaves out the rounding a recomputed sum carries, so a
+    ``tol`` within a few hundred times that floor can stop a sweep earlier or
+    later than recomputing would; every iterate is the same either way."""
     coeffs = _probe(homogeneous, _STENCIL)
     height, width = homogeneous.spec.shape
     flow = np.zeros((2, height + 4, width + 4))
     flow[:, 2:-2, 2:-2] = u
 
     # the points color by color, row-major within a color, for the coefficients
-    # (permuted in place), b = g - A u, the inverted blocks and idx, the flat
-    # index into a padded flow component of each point's sample at each offset
+    # (permuted in place), b = g - A u, the inverted blocks and idx, the flat index
+    # into a padded flow component at each offset; a color's takes component 0's, then 1's
     color = _coloring((height, width), _STENCIL[:1])[2].ravel()
     order = np.argsort(color, kind="stable")
     for part in coeffs.reshape(len(_STENCIL), 4, -1):
@@ -311,23 +318,29 @@ def _sor_steps(homogeneous, g, u):
     diagonal, off_diagonal = _inverse_blocks(coeffs[0])
     offset = np.array([dr * (width + 4) + dc for dr, dc in _STENCIL])
     idx = np.arange(flow[0].size).reshape(flow[0].shape)[2:-2, 2:-2].take(order) + offset[:, None]
-    samples = flow.reshape(2, -1)
+    samples = flow.reshape(-1)
     b = g.reshape(2, -1).take(order, axis=1)
-    b -= np.einsum("dikn,kdn->in", coeffs, samples.take(idx, axis=1))
+    b -= np.einsum("dikn,kdn->in", coeffs, flow.reshape(2, -1).take(idx, axis=1))
     bounds = np.cumsum(np.bincount(color))[:-1]
-    del color, order
     split = (np.split(x, bounds, axis=-1) for x in (coeffs, idx, b, diagonal, off_diagonal))
-    colors = list(zip(*split))
+    colors = [(c, i[:, None] + [[0], [flow[0].size]], *rest) for c, i, *rest in zip(*split)]
+    del color, order, idx
 
     def residual(coeff, index, b_color):
-        return b_color + np.einsum("dikn,kdn->in", coeff, samples.take(index, axis=1))
+        return b_color + np.einsum("dikn,dkn->in", coeff, samples.take(index))
 
+    # color 0's residual after a sweep also serves the next sweep's update: no update comes between
+    r = residual(*colors[0][:3])
     while True:
-        # offset (0, 0) comes first, so index[0] holds each of the color's points once
-        for coeff, index, b_color, *blocks in colors:
-            samples[:, index[0]] -= OMEGA * _block_solve(*blocks, residual(coeff, index, b_color))
+        # offset (0, 0) comes first, so index[0] holds each of the color's values once
+        for n, (coeff, index, b_color, *blocks) in enumerate(colors):
+            r = residual(coeff, index, b_color) if n else r
+            samples[index[0]] -= OMEGA * _block_solve(*blocks, r)
+        # same-color unknowns never couple, so the last color's residual is now (1 - OMEGA) r
+        sums = [(OMEGA - 1.0) * _max_norm(r)] + [_max_norm(residual(*c[:3])) for c in colors[1:-1]]
+        r = residual(*colors[0][:3])
         u[...] = flow[:, 2:-2, 2:-2]
-        yield max(_max_norm(residual(*color[:3])) for color in colors)
+        yield max(_max_norm(r), *sums)
 
 
 def _cg_steps(homogeneous, g, u):

@@ -10,9 +10,10 @@ the pattern at every pulled-back grid point, the surface form of the
 optical-flow constraint against the pulled-back residual, the natural
 boundary condition of converged flows, brightness constancy along
 ground-truth trajectories, the solver's probed stencil against whole-grid
-applies and a square-coloring probe, the stacked energy gradient against its
-term-by-term assembly, CG's in-place loop against its allocating form, and
-the per-channel colour coding against a whole-pixel blend.  Unlike
+applies and a square-coloring probe, its SOR sweeps against their six-sum
+form, the stacked energy gradient against its term-by-term assembly, CG's
+in-place loop against its allocating form, and the per-channel colour coding
+against a whole-pixel blend.  Unlike
 ``oracles``, they build on the package's grid stencils and containers;
 :func:`covariant_derivative` wraps the package's own covariant-derivative
 kernel, so tests of it exercise the code the energy uses.
@@ -41,7 +42,16 @@ from surfaceflow.grid import (
 )
 from surfaceflow.io import COLOR_WHEEL, wheel_position
 from surfaceflow.model import FlowProblem, _gradient_arrays, _terms
-from surfaceflow.solver import SolverConfig, _STENCIL, _inverse_blocks, _probe
+from surfaceflow.solver import (
+    OMEGA,
+    SolverConfig,
+    _STENCIL,
+    _block_solve,
+    _coloring,
+    _inverse_blocks,
+    _max_norm,
+    _probe,
+)
 from surfaceflow.synth import MovingBump
 
 
@@ -645,6 +655,47 @@ def full_apply_sor(problem: FlowProblem, config: SolverConfig, u1: np.ndarray, u
             converged = True
             break
     return converged, sweeps, u1, u2, res
+
+
+def regathering_sor_steps(homogeneous, g, u):
+    """The solver's SOR steps with six gather-and-sum residuals per sweep, one
+    for each color's update and one for each color after the sweep, and each
+    update written through a (component, point) index: the package's loop
+    before a sweep reused color 0's residual and took the last color's from
+    its update."""
+    coeffs = _probe(homogeneous, _STENCIL)
+    height, width = homogeneous.spec.shape
+    flow = np.zeros((2, height + 4, width + 4))
+    flow[:, 2:-2, 2:-2] = u
+
+    # the points color by color, row-major within a color, for the coefficients
+    # (permuted in place), b = g - A u, the inverted blocks and idx, the flat
+    # index into a padded flow component of each point's sample at each offset
+    color = _coloring((height, width), _STENCIL[:1])[2].ravel()
+    order = np.argsort(color, kind="stable")
+    for part in coeffs.reshape(len(_STENCIL), 4, -1):
+        part[...] = part.take(order, axis=1)
+    coeffs = coeffs.reshape(len(_STENCIL), 2, 2, -1)
+    diagonal, off_diagonal = _inverse_blocks(coeffs[0])
+    offset = np.array([dr * (width + 4) + dc for dr, dc in _STENCIL])
+    idx = np.arange(flow[0].size).reshape(flow[0].shape)[2:-2, 2:-2].take(order) + offset[:, None]
+    samples = flow.reshape(2, -1)
+    b = g.reshape(2, -1).take(order, axis=1)
+    b -= np.einsum("dikn,kdn->in", coeffs, samples.take(idx, axis=1))
+    bounds = np.cumsum(np.bincount(color))[:-1]
+    del color, order
+    split = (np.split(x, bounds, axis=-1) for x in (coeffs, idx, b, diagonal, off_diagonal))
+    colors = list(zip(*split))
+
+    def residual(coeff, index, b_color):
+        return b_color + np.einsum("dikn,kdn->in", coeff, samples.take(index, axis=1))
+
+    while True:
+        # offset (0, 0) comes first, so index[0] holds each of the color's points once
+        for coeff, index, b_color, *blocks in colors:
+            samples[:, index[0]] -= OMEGA * _block_solve(*blocks, residual(coeff, index, b_color))
+        u[...] = flow[:, 2:-2, 2:-2]
+        yield max(_max_norm(residual(*color[:3])) for color in colors)
 
 
 # ---------------------------------------------------------------------------

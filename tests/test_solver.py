@@ -38,6 +38,7 @@ from reference import (
     allocating_cg_steps,
     check_natural_bc,
     full_apply_sor,
+    regathering_sor_steps,
     square_probe,
     stencil_apply,
 )
@@ -340,6 +341,34 @@ class TestStencil:
             after = _gradient_arrays(prob._ops, swept)
             gap = np.abs(after - (1.0 - solver.OMEGA) * g)[:, own]
             assert np.max(gap) <= 1e-12 * scale
+
+    @given(
+        height=st.integers(3, 17),
+        width=st.integers(3, 17),
+        surface=st.sampled_from(["flat", "curved", "evolving"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(height=4, width=16, surface="evolving", seed=0)
+    @example(height=17, width=3, surface="curved", seed=1)
+    @example(height=3, width=3, surface="flat", seed=2)
+    @settings(max_examples=40, deadline=None)
+    def test_sor_sweeps_match_six_sum_sweeps(self, height, width, surface, seed):
+        # reusing color 0's residual and taking the last color's from its
+        # update moves no iterate: after each of the first 8 sweeps the flow is
+        # the six-sum form's bit for bit, from a zero start and from a random
+        # one, and the yielded residuals differ by rounding alone
+        rng = np.random.default_rng(seed)
+        prob = drawn_problem(height, width, surface, rng)
+        homogeneous = a_bundle(prob)
+        for u in (np.zeros((2,) + prob.spec.shape), rng.standard_normal((2,) + prob.spec.shape)):
+            g = _gradient_arrays(prob._ops, u)
+            mine_u, ref_u = u.copy(), u.copy()
+            mine = solver._sor_steps(homogeneous, g, mine_u)
+            ref = regathering_sor_steps(homogeneous, g, ref_u)
+            for _ in range(8):
+                res, ref_res = next(mine), next(ref)
+                assert same_bits(mine_u, ref_u)
+                assert abs(res - ref_res) <= 1e-12 * ref_res
 
 
 def assert_block_solve_inverts(block, x):
@@ -780,8 +809,8 @@ def flow_digest(field):
 
 
 class TestPinnedBits:
-    """CG solves and the energy at fixed inputs, bit for bit: a change that
-    keeps every iterate keeps these; one that moves a rounding does not."""
+    """CG and SOR solves and the energy at fixed inputs, bit for bit: a change
+    that keeps every iterate keeps these; one that moves a rounding does not."""
 
     @pytest.mark.parametrize(
         "width, height, h, curved, expected",
@@ -802,6 +831,29 @@ class TestPinnedBits:
     def test_cg_solve(self, width, height, h, curved, expected):
         prob, _, _ = polynomial_problem(width, height, h, curved)
         flow, r = solve(prob, SolverConfig(method="cg"))
+        mine = (r.energy_initial.hex(), r.energy_final.hex(), r.grad_inf_norm.hex(),
+                r.iterations, r.coarse_iterations, flow_digest(flow))
+        assert mine == expected
+
+    @pytest.mark.parametrize(
+        "width, height, h, curved, expected",
+        [
+            (17, 13, 0.5, False, (
+                "0x1.fca51552c6400p-3", "0x1.e684d67290ac8p-7", "0x1.fc28f88270000p-21", 113, (),
+                "c066efccedb1b964011575381a730d755a5cb5c07f2a8584a9251ca382b1d302")),
+            (17, 13, 0.5, True, (
+                "0x1.075d4402b44b9p-2", "0x1.0d1333d0d0f9fp-6", "0x1.e3814cfd92600p-21", 113, (),
+                "4b1bf50309d693c99f3eda524eaddf408e91b43a7f6a10aa16abc011065111d4")),
+            # both sides odd and above 65: the nested start
+            (131, 129, 1 / 16, True, (
+                "0x1.e67694eeb1527p-7", "0x1.e6292753250cap-7", "0x1.057c3c2c2f7a8p-20", 88, (324,),
+                "41428c1a40c009ef1985a04d2ed0acf0e1d23f15f8f2a85f736cc0edb3d11c82")),
+        ],
+        ids=["flat-17x13", "curved-17x13", "curved-131x129"],
+    )
+    def test_sor_solve(self, width, height, h, curved, expected):
+        prob, _, _ = polynomial_problem(width, height, h, curved)
+        flow, r = solve(prob, SolverConfig(method="sor"))
         mine = (r.energy_initial.hex(), r.energy_final.hex(), r.grad_inf_norm.hex(),
                 r.iterations, r.coarse_iterations, flow_digest(flow))
         assert mine == expected
