@@ -18,8 +18,9 @@ after Curtis, Powell & Reid, 1974), one masked copy of the apply per offset,
 once each wanted offset of a grid point is the only stencil point in its
 color.  The lattice colorings (row + k col) mod m of Goldfarb & Toint (1984)
 need fewest: m = 3, k = 1 for the diagonal (6 applies), m = 10, k = 3 for the
-whole stencil (20 applies).  D sits at offset 0 alone, so the other offsets
-are R's bitwise.  The inverted 2x2 diagonal blocks are the offset-0 slice.
+whole stencil (20 applies), as the table ``_COLORINGS`` holds them.  D sits at
+offset 0 alone, so the other offsets are R's bitwise.  The inverted 2x2
+diagonal blocks are the offset-0 slice.
 
 Block SOR sweeps the diagonal probe's colors.  Same-color unknowns never
 couple, so a color's principal submatrix is its 2x2 blocks, and an exact block
@@ -141,6 +142,9 @@ class SolverReport:
 
 # the offsets (row, col) of A's plus stencil, the point itself first
 _STENCIL = ((0, 0), (0, -2), (0, -1), (0, 1), (0, 2), (-2, 0), (-1, 0), (1, 0), (2, 0))
+# the probed offsets' lattice coloring (row + k col) mod m, as (m, k): the fewest
+# colors that leave q + d alone among q's stencil points in its color, for each d
+_COLORINGS = {_STENCIL: (10, 3), _STENCIL[:1]: (3, 1)}
 
 # nested starts above this side length; at 65 the coarse solve costs more than it saves
 _NESTED_ABOVE = 65
@@ -236,20 +240,9 @@ def _max_norm(g: np.ndarray) -> float:
     return float(abs(max(g.max(), -g.min())))
 
 
-def _lattice(offsets):
-    """The fewest-color lattice coloring (row + k col) mod m, as (m, k), that
-    leaves q + d alone among q's stencil points in its color, for each d in ``offsets``."""
-    return next(
-        (m, k)
-        for m in itertools.count(1)
-        for k in range(m)
-        if all((s[0] - d[0] + k * (s[1] - d[1])) % m for d in offsets for s in _STENCIL if s != d)
-    )
-
-
 def _coloring(shape, offsets):
-    """The ``_lattice`` coloring for ``offsets``: (m, k) and each point's color, as bytes."""
-    m, k = _lattice(offsets)
+    """The ``_COLORINGS`` coloring for ``offsets``: (m, k) and each point's color, as bytes."""
+    m, k = _COLORINGS[offsets]
     return m, k, (np.add.outer(np.arange(shape[0]), k * np.arange(shape[1])) % m).astype(np.uint8)
 
 
@@ -260,9 +253,9 @@ def _probe(homogeneous, offsets):
     energy gradient is A itself; the problem's own would add b to every
     offset.  Returns c of shape (len(offsets), 2, 2, height, width) with
     (A u)_i(q) = sum over d of c[d, i, k](q) u_k(q + d); c[d] is zero where
-    q + d leaves the grid.  Each of the 2 m applies of the ``_lattice`` coloring
-    yields c[d] by one masked copy on the points q whose q + d has the applied
-    color: each point once.
+    q + d leaves the grid.  Each of the 2 m applies of the ``_COLORINGS``
+    coloring yields c[d] by one masked copy on the points q whose q + d has the
+    applied color: each point once.
     """
     shape = homogeneous.spec.shape
     m, k, color = _coloring(shape, offsets)

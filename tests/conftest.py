@@ -6,7 +6,8 @@ from hypothesis import settings
 
 from surfaceflow.grid import GridSpec, ScalarField, VectorField
 from surfaceflow.geometry import build_geometry
-from surfaceflow.model import FlowProblem, energy_gradient
+from surfaceflow.model import FlowProblem, energy_gradient, problem_from_frames
+from surfaceflow.synth import make_scene, render
 
 # the same examples on every run, and no example database written to disk
 settings.register_profile("deterministic", derandomize=True, database=None)
@@ -80,6 +81,18 @@ def drawn_problem(height, width, surface, rng):
         ft=random_field(spec, rng),
         alpha=rng.uniform(0.1, 100.0),
     )
+
+
+def steep_problem(scale: float) -> FlowProblem:
+    """The flat-translate frames at 17x17 (noise 1e-3, seed 1) on the paraboloid
+    z = s * ((x1 - 8)^2 + (x2 - 8)^2) / 16, alpha 10: edge slopes reach s, so
+    det g ranges from 1 at the apex to about 2 * s^2 at the corners."""
+    scene = make_scene("flat-translate", size=17, frame_count=2, noise_sigma=1e-3, seed=1)
+    frames, _, _ = render(scene)
+    z = ScalarField.from_function(
+        frames[0].spec, lambda x1, x2: scale * ((x1 - 8.0) ** 2 + (x2 - 8.0) ** 2) / 16.0
+    )
+    return problem_from_frames(frames[0], frames[1], build_geometry(z), alpha=10.0)
 
 
 def affine_parts(prob: FlowProblem):

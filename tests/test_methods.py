@@ -26,7 +26,14 @@ from surfaceflow.model import FlowProblem, energy, energy_gradient, problem_from
 from surfaceflow.solver import SolverConfig, solve
 from surfaceflow.synth import make_scene, render
 
-from conftest import drawn_problem, random_geometry, random_problem, random_vector_field, same_bits
+from conftest import (
+    drawn_problem,
+    random_geometry,
+    random_problem,
+    random_vector_field,
+    same_bits,
+    steep_problem,
+)
 
 # each method's gradient applies in one level's solve, besides the one at the
 # initial flow and the one at the returned flow: (the probe at set-up, per iteration)
@@ -235,18 +242,11 @@ class TestOracleEdgeCases:
         assert abs(gradient - report.grad_inf_norm) <= 1e-12 * max(1.0, gradient)
         assert abs(value - report.energy_final) <= 1e-12 * abs(value)
 
-    # paraboloid z = s * ((x1 - 8)^2 + (x2 - 8)^2) / 16 under the flat-translate
-    # frames: edge slopes reach s, so det g ranges from 1 at the apex to about
-    # 2 * s^2 at the corners.  The gradient's rounding grows with det g, so only
-    # the energy is held to the oracle.
+    # det g spans sixteen decades on ``steep_problem``'s paraboloids.  The
+    # gradient's rounding grows with det g, so only the energy is held to the oracle.
     @pytest.mark.parametrize("scale", [1e2, 1e4, 1e6, 1e8])
     def test_steep_surface(self, scale, method):
-        scene = make_scene("flat-translate", size=17, frame_count=2, noise_sigma=1e-3, seed=1)
-        frames, _, _ = render(scene)
-        z = ScalarField.from_function(
-            frames[0].spec, lambda x1, x2: scale * ((x1 - 8.0) ** 2 + (x2 - 8.0) ** 2) / 16.0
-        )
-        prob = problem_from_frames(frames[0], frames[1], build_geometry(z), alpha=10.0)
+        prob = steep_problem(scale)
         flow, report = solve(prob, SolverConfig(method=method, tol=1e-6), track_energy=True)
         assert report.converged
         trace = np.array(report.energy_trace)
