@@ -13,7 +13,7 @@ order away from the boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,24 +26,21 @@ __all__ = ["SurfaceGeometry", "build_geometry", "flat_geometry"]
 class SurfaceGeometry:
     """Area element and Christoffel symbols of the graph surface at a fixed time.
 
-    ``gamma{i}_{j}{k}`` is G^i_jk, stored once per symmetric lower pair
-    (j <= k).  ``zt`` is the height rate (d/dt z) between the frame pair,
-    zero for a static build.
+    ``christoffel`` holds G^1_11, G^1_12, G^1_22, G^2_11, G^2_12, G^2_22, so G^i_jk
+    (from 0; G is symmetric in j, k) is ``christoffel[3*i + j + k]``.  ``zt`` is
+    the height rate (d/dt z) between the frame pair, zero for a static build.
     """
 
     spec: GridSpec
     sqrt_detg: ScalarField
-    gamma1_11: ScalarField
-    gamma1_12: ScalarField
-    gamma1_22: ScalarField
-    gamma2_11: ScalarField
-    gamma2_12: ScalarField
-    gamma2_22: ScalarField
+    christoffel: tuple[ScalarField, ...]
     zt: ScalarField
 
     def __post_init__(self) -> None:
-        if any(getattr(self, f.name).spec != self.spec for f in fields(self)[1:]):
-            raise ValueError("geometry fields must share the grid spec")
+        six = isinstance(self.christoffel, tuple) and len(self.christoffel) == 6
+        parts = (self.sqrt_detg, *self.christoffel, self.zt) if six else ()
+        if not parts or not all(isinstance(p, ScalarField) and p.spec == self.spec for p in parts):
+            raise ValueError("sqrt_detg, zt and six christoffel fields must be on the grid spec")
 
 
 def build_geometry(
@@ -67,22 +64,15 @@ def build_geometry(
     # graph identity det g = 1 + |grad z|^2; guarantees det g >= 1 exactly
     detg = 1.0 + a1 * a1 + a2 * a2
 
-    zt = ScalarField.zeros(spec) if z_next is None else diff_t(z, z_next, dt)
     wrap = lambda a: ScalarField(spec, a)
     return SurfaceGeometry(
         spec=spec,
         sqrt_detg=wrap(np.sqrt(detg)),
-        gamma1_11=wrap(a1 * z11 / detg),
-        gamma1_12=wrap(a1 * z12 / detg),
-        gamma1_22=wrap(a1 * z22 / detg),
-        gamma2_11=wrap(a2 * z11 / detg),
-        gamma2_12=wrap(a2 * z12 / detg),
-        gamma2_22=wrap(a2 * z22 / detg),
-        zt=zt,
+        christoffel=tuple(wrap(a * zjk / detg) for a in (a1, a2) for zjk in (z11, z12, z22)),
+        zt=diff_t(z, z if z_next is None else z_next, dt),
     )
 
 
 def flat_geometry(spec: GridSpec) -> SurfaceGeometry:
     """Geometry of the flat plane z = 0 (Euclidean reduction)."""
     return build_geometry(ScalarField.zeros(spec))
-

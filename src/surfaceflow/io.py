@@ -71,7 +71,8 @@ class Manifest:
     single entry for a static surface.  Paths are kept as written and
     resolved against ``base_dir`` when loading; each must be a one-line str with
     no leading or trailing whitespace, the only paths a manifest file reads back.
-    The sequences must be tuples and ``base_dir`` a ``Path``, as read back.
+    The spec must be a ``GridSpec``, the sequences tuples and ``base_dir`` a ``Path``,
+    as read back.
     """
 
     spec: GridSpec
@@ -81,7 +82,9 @@ class Manifest:
     base_dir: Path = Path(".")
 
     def __post_init__(self) -> None:
-        kinds = dict(frame_paths=tuple, height_paths=tuple, intensity_range=tuple, base_dir=Path)
+        kinds = dict(
+            spec=GridSpec, frame_paths=tuple, height_paths=tuple, intensity_range=tuple, base_dir=Path
+        )
         for name, kind in kinds.items():
             if not isinstance(getattr(self, name), kind):
                 raise ManifestError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")

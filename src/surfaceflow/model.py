@@ -25,11 +25,10 @@ the order of the term-by-term formulas, so the layout changes no bit.
 A problem builds the arrays these sums read once, at construction, into one
 private, immutable bundle of plain arrays (``FlowProblem._ops``, built and
 checked by ``_operands``): the grid spec, alpha, sqrt(det g), the tuple of the
-six Christoffel arrays G^1_11, G^1_12, G^1_22, G^2_11, G^2_12, G^2_22 (G^i_jk,
-from 0, is ``christoffel[3*i + j + k]``, as G is symmetric in j and k), fx1,
-fx2, ft, w and alpha * w.  The solver's A is the same bundle with a zero ft; a
-coarse bundle samples the six arrays in that order and recomputes w from
-(2h)^2 rather than scaling w by 4.
+six Christoffel arrays in the order of ``SurfaceGeometry.christoffel`` (whose
+docstring gives the index rule), fx1, fx2, ft, w and alpha * w.  The solver's
+A is the same bundle with a zero ft; a coarse bundle samples the six arrays in
+that order and recomputes w from (2h)^2 rather than scaling w by 4.
 """
 
 from __future__ import annotations
@@ -71,7 +70,7 @@ class FlowProblem:
             if getattr(self, name).spec != spec:
                 raise ValueError(f"{name} does not match the geometry grid spec")
         geom, data = self.geom, (self.fx1.values, self.fx2.values, self.ft.values)
-        gamma = [getattr(geom, f"gamma{i}_{jk}").values for i in "12" for jk in ("11", "12", "22")]
+        gamma = [g.values for g in geom.christoffel]
         ops = _operands(spec, self.alpha, geom.sqrt_detg.values, gamma, *data)
         object.__setattr__(self, "_ops", ops)
 
@@ -84,10 +83,9 @@ _Operands = namedtuple("_Operands", "spec alpha sqrt_detg christoffel fx1 fx2 ft
 
 
 def _operands(spec, alpha, sqrt_detg, christoffel, fx1, fx2, ft) -> _Operands:
-    """The bundle on ``spec``, with ``christoffel`` as one tuple of the six arrays
-    G^1_11, G^1_12, G^1_22, G^2_11, G^2_12, G^2_22, so that G^i_jk (from 0: component
-    i, derivative j, flow component k) is ``christoffel[3*i + j + k]``; ``ValueError``
-    unless alpha is a positive finite real scalar and w and the data term are finite."""
+    """The bundle on ``spec``, with ``christoffel`` the six arrays as one tuple in
+    ``SurfaceGeometry.christoffel``'s order; ``ValueError`` unless alpha is a
+    positive finite real scalar and w and the data term are finite."""
     _positive("alpha", alpha)
     w = np.multiply(sqrt_detg, spec.h * spec.h)
     if not np.all(np.isfinite(w)):

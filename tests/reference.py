@@ -255,12 +255,7 @@ def hessian_geometry(
     return SurfaceGeometry(
         spec=spec,
         sqrt_detg=wrap(np.sqrt(detg)),
-        gamma1_11=wrap(a1 * z11 / detg),
-        gamma1_12=wrap(a1 * z12 / detg),
-        gamma1_22=wrap(a1 * z22 / detg),
-        gamma2_11=wrap(a2 * z11 / detg),
-        gamma2_12=wrap(a2 * z12 / detg),
-        gamma2_22=wrap(a2 * z22 / detg),
+        christoffel=tuple(wrap(a * zjk / detg) for a in (a1, a2) for zjk in (z11, z12, z22)),
         zt=zt,
     )
 
@@ -489,7 +484,7 @@ def termwise_covd(ops, u: np.ndarray):
     from a problem's bundle of energy arrays."""
     h = ops.spec.h
     u1, u2 = u
-    c1_11, c1_12, c1_22, c2_11, c2_12, c2_22 = _christoffel_values(ops)
+    c1_11, c1_12, c1_22, c2_11, c2_12, c2_22 = ops.christoffel
     d11 = termwise_x1(u1, h) + c1_11 * u1 + c1_12 * u2
     d12 = termwise_x2(u1, h) + c1_12 * u1 + c1_22 * u2
     d21 = termwise_x1(u2, h) + c2_11 * u1 + c2_12 * u2
@@ -507,7 +502,7 @@ def termwise_gradient(ops, u: np.ndarray, with_energy: bool = False):
     w = ops.sqrt_detg * (h * h)
     d11, d12, d21, d22 = termwise_covd(ops, u)
     s11, s12, s21, s22 = w * d11, w * d12, w * d21, w * d22
-    c1_11, c1_12, c1_22, c2_11, c2_12, c2_22 = _christoffel_values(ops)
+    c1_11, c1_12, c1_22, c2_11, c2_12, c2_22 = ops.christoffel
     g1 = (
         scatter_x1_adjoint(s11, h)
         + scatter_x2_adjoint(s12, h)
@@ -536,11 +531,6 @@ def termwise_gradient(ops, u: np.ndarray, with_energy: bool = False):
         )
         return 0.5 * float(total), g
     return g
-
-
-def _christoffel_values(ops):
-    """G^1_11, G^1_12, G^1_22, G^2_11, G^2_12, G^2_22: the bundle's tuple, in its order."""
-    return ops.christoffel
 
 
 def a_bundle(problem: FlowProblem):

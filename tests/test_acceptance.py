@@ -115,8 +115,9 @@ def test_3_christoffel_closed_form_vs_general_formula():
         geom, frame = build_geometry(z), surface_frame(z)
         general = christoffel_from_metric(frame.g11, frame.g12, frame.g22)
         inner = (slice(2, -2), slice(2, -2))
+        # general's keys count from 1, so G^i_jk is christoffel[3*(i-1) + (j-1) + (k-1)]
         return max(
-            float(np.max(np.abs(field.values[inner] - getattr(geom, f"gamma{i}_{j}{k}").values[inner])))
+            float(np.max(np.abs(field.values[inner] - geom.christoffel[3 * i + j + k - 5].values[inner])))
             for (i, j, k), field in general.items()
         )
 

@@ -73,12 +73,7 @@ def test_geometry_holds_only_what_the_energy_reads():
     assert names == [
         "spec",
         "sqrt_detg",
-        "gamma1_11",
-        "gamma1_12",
-        "gamma1_22",
-        "gamma2_11",
-        "gamma2_12",
-        "gamma2_22",
+        "christoffel",
         "zt",
     ]
     methods = vars(surfaceflow.SurfaceGeometry).items()

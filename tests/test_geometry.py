@@ -49,8 +49,8 @@ class TestFlatGeometry:
         assert np.all(frame.g12.values == 0.0)
         assert np.all(frame.detg.values == 1.0)
         assert np.all(geom.zt.values == 0.0)
-        for i, j, k in [(1, 1, 1), (1, 1, 2), (1, 2, 2), (2, 1, 1), (2, 1, 2), (2, 2, 2)]:
-            assert np.all(getattr(geom, f"gamma{i}_{j}{k}").values == 0.0)
+        for field in geom.christoffel:
+            assert np.all(field.values == 0.0)
 
     def test_fields_from_another_grid_rejected(self):
         geom = flat_geometry(GridSpec(5, 6, h=2.0))
@@ -58,13 +58,21 @@ class TestFlatGeometry:
             dataclasses.replace(geom, spec=GridSpec(5, 6, h=1.0))
         with pytest.raises(ValueError, match="grid spec"):
             dataclasses.replace(geom, zt=ScalarField.zeros(GridSpec(5, 6, h=1.0)))
+        # six Christoffel fields, as a tuple, and every part a ScalarField
+        for part in (
+            {"christoffel": geom.christoffel[:5]},
+            {"christoffel": list(geom.christoffel)},
+            {"sqrt_detg": geom.sqrt_detg.values},
+        ):
+            with pytest.raises(ValueError, match="grid spec"):
+                dataclasses.replace(geom, **part)
 
     def test_flat_geometry_helper(self):
         spec = GridSpec(4, 4)
         helper = flat_geometry(spec)
         built = build_geometry(ScalarField.zeros(spec))
         assert np.array_equal(helper.sqrt_detg.values, built.sqrt_detg.values)
-        assert np.array_equal(helper.gamma1_11.values, built.gamma1_11.values)
+        assert np.array_equal(helper.christoffel[0].values, built.christoffel[0].values)
 
 
 class TestTiltedPlane:
@@ -79,8 +87,8 @@ class TestTiltedPlane:
 
     def test_christoffel_vanishes(self):
         geom = make_surface(GridSpec(6, 5), lambda x1, x2: x1)
-        for i, j, k in [(1, 1, 1), (1, 1, 2), (1, 2, 2), (2, 1, 1), (2, 1, 2), (2, 2, 2)]:
-            assert np.allclose(getattr(geom, f"gamma{i}_{j}{k}").values, 0.0, atol=1e-13)
+        for field in geom.christoffel:
+            assert np.allclose(field.values, 0.0, atol=1e-13)
 
     def test_inverse_metric(self):
         frame = make_frame(GridSpec(5, 5), lambda x1, x2: x1)
@@ -105,10 +113,11 @@ class TestParaboloid:
         assert self.frame.detg.values[self.at] == pytest.approx(2.0, abs=1e-12)
 
     def test_christoffel_values(self):
-        assert self.geom.gamma1_11.values[self.at] == pytest.approx(0.5, abs=1e-12)
-        assert self.geom.gamma1_22.values[self.at] == pytest.approx(0.5, abs=1e-12)
-        assert self.geom.gamma2_11.values[self.at] == pytest.approx(0.0, abs=1e-12)
-        assert self.geom.gamma2_12.values[self.at] == pytest.approx(0.0, abs=1e-12)
+        g111, _, g122, g211, g212, _ = (field.values[self.at] for field in self.geom.christoffel)
+        assert g111 == pytest.approx(0.5, abs=1e-12)
+        assert g122 == pytest.approx(0.5, abs=1e-12)
+        assert g211 == pytest.approx(0.0, abs=1e-12)
+        assert g212 == pytest.approx(0.0, abs=1e-12)
 
 
 class TestMetricIdentities:
@@ -165,7 +174,8 @@ class TestMetricIdentities:
         general = christoffel_from_metric(frame.g11, frame.g12, frame.g22)
         inner = (slice(2, -2), slice(2, -2))
         for (i, j, k), field in general.items():
-            closed = getattr(geom, f"gamma{i}_{j}{k}").values[inner]
+            # general's keys count from 1
+            closed = geom.christoffel[3 * (i - 1) + (j - 1) + (k - 1)].values[inner]
             assert np.allclose(field.values[inner], closed, atol=3e-4)
 
 
@@ -302,10 +312,10 @@ class TestHessianReference:
         else:
             heights = random_heights(spec, rng, rng.uniform(0.1, 2.0), surface == "evolving")
         mine, ref = build_geometry(*heights), hessian_geometry(*heights)
-        names = [f.name for f in dataclasses.fields(mine) if f.name != "spec"]
-        assert len(names) == 8
-        for name in names:
-            assert same_bits(getattr(mine, name).values, getattr(ref, name).values), name
+        parts = lambda geom: (geom.sqrt_detg, *geom.christoffel, geom.zt)
+        assert len(parts(mine)) == len(parts(ref)) == 8
+        for n, (field, expected) in enumerate(zip(parts(mine), parts(ref))):
+            assert same_bits(field.values, expected.values), n
 
 
 class TestBuildValidation:

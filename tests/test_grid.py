@@ -21,7 +21,7 @@ from surfaceflow.grid import (
     diff_x2_array,
     diff2_x2_array,
 )
-from surfaceflow.geometry import flat_geometry
+from surfaceflow.geometry import build_geometry, flat_geometry
 from surfaceflow.io import colorize
 from surfaceflow.model import FlowProblem
 from surfaceflow.solver import SolverConfig, SolverReport
@@ -350,6 +350,7 @@ POSITIVE_ENTRIES = {
     "GridSpec.h": ("h", lambda v: GridSpec(5, 5, h=v)),
     "GridSpec.dt": ("dt", lambda v: GridSpec(5, 5, dt=v)),
     "diff_t": ("dt", lambda v: diff_t(*[ScalarField.zeros(GridSpec(3, 3))] * 2, v)),
+    "build_geometry.dt": ("dt", lambda v: build_geometry(ScalarField.zeros(GridSpec(3, 3)), dt=v)),
     "SolverConfig.tol": ("tol", lambda v: SolverConfig(tol=v)),
     "FlowProblem.alpha": ("alpha", _flat_problem),
     "colorize": ("max_magnitude", lambda v: colorize(np.ones((2, 2)), np.zeros((2, 2)), v)),

@@ -365,7 +365,8 @@ class TestManifest:
         assert read_manifest(directory / "manifest.txt") == manifest
 
     # a list or a bare str for a tuple, or a str for the Path, constructed a
-    # manifest that read back unequal (and a list made it unhashable)
+    # manifest that read back unequal (and a list made it unhashable); a tuple
+    # for the spec constructed one that the writer could not write
     @pytest.mark.parametrize(
         "field, value",
         [
@@ -375,6 +376,7 @@ class TestManifest:
             ("height_paths", "b.pfm"),
             ("intensity_range", [0.0, 1.0]),
             ("base_dir", "."),
+            ("spec", (4, 4)),
         ],
     )
     def test_only_the_types_read_back_construct(self, tmp_path, field, value):

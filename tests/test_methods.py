@@ -158,8 +158,7 @@ def oracle_gradient_and_energy(prob, flow):
 
     geom = prob.geom
     gamma = np.array([
-        [[getattr(geom, f"gamma{i}_{min(j, k)}{max(j, k)}").values for k in (1, 2)] for j in (1, 2)]
-        for i in (1, 2)
+        [[geom.christoffel[3 * i + j + k].values for k in (0, 1)] for j in (0, 1)] for i in (0, 1)
     ])
     a, b, c = covariant_hs_system(
         prob.fx1.values, prob.fx2.values, prob.ft.values, prob.alpha, prob.spec.h,

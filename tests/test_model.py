@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -339,17 +338,17 @@ class TestEnergyGradient:
 
 class TestBundle:
     def test_holds_the_problem_arrays(self, rng):
-        # the problem's own read-only arrays, the Christoffel table laid out
-        # as G^i_jk = christoffel[3*i + j + k], and w and alpha w computed once
+        # the problem's own read-only arrays, the geometry's Christoffel
+        # arrays in its order, and w and alpha w computed once
         prob = random_problem(GridSpec(7, 6, h=0.5), rng, alpha=3.0, curved=True)
         ops, geom = prob._ops, prob.geom
         assert ops is prob._ops and ops.spec == prob.spec and ops.alpha == prob.alpha
         assert ops.sqrt_detg is geom.sqrt_detg.values
         assert ops.fx1 is prob.fx1.values and ops.fx2 is prob.fx2.values
         assert ops.ft is prob.ft.values
-        for i, j, k in itertools.product(range(2), repeat=3):
-            name = f"gamma{i + 1}_{min(j, k) + 1}{max(j, k) + 1}"
-            assert ops.christoffel[3 * i + j + k] is getattr(geom, name).values
+        assert len(ops.christoffel) == len(geom.christoffel) == 6
+        for mine, field in zip(ops.christoffel, geom.christoffel):
+            assert mine is field.values
         w = geom.sqrt_detg.values * (0.5 * 0.5)
         assert same_bits(ops.w, w) and same_bits(ops.alpha_w, 3.0 * w)
         assert not (ops.w.flags.writeable or ops.alpha_w.flags.writeable)

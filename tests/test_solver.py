@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import itertools
 import math
@@ -13,7 +12,7 @@ from hypothesis.extra import numpy as hnp
 import surfaceflow.model as model
 import surfaceflow.solver as solver
 from surfaceflow.grid import GridSpec, ScalarField, VectorField, coordinate_arrays
-from surfaceflow.geometry import build_geometry
+from surfaceflow.geometry import SurfaceGeometry, build_geometry
 from surfaceflow.model import (
     FlowProblem,
     _gradient_arrays,
@@ -690,10 +689,10 @@ class TestNestedStart:
         # w and alpha w are those of the problem on the sampled fields at 2h,
         # recomputed from (2h)^2 rather than sampled and scaled by 4
         sample = lambda field: ScalarField(coarse_spec, field.values[::2, ::2])
-        geom = prob.geom
-        sampled = {f.name: sample(getattr(geom, f.name))
-                   for f in dataclasses.fields(geom) if f.name != "spec"}
-        geom = dataclasses.replace(geom, spec=coarse_spec, **sampled)
+        g = prob.geom
+        geom = SurfaceGeometry(
+            coarse_spec, sample(g.sqrt_detg), tuple(map(sample, g.christoffel)), sample(g.zt)
+        )
         data = (sample(field) for field in (prob.fx1, prob.fx2, prob.ft))
         ref = FlowProblem(geom, *data, prob.alpha)._ops
         assert same_bits(coarse.w, ref.w) and same_bits(coarse.alpha_w, ref.alpha_w)

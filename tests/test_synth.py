@@ -66,11 +66,6 @@ class TestSceneValidation:
         with pytest.raises(ValueError, match=name):
             pixel_scene(17, Flat(), GaussianPattern(), Translation(0.0, 0.0), **kwargs)
 
-    @pytest.mark.parametrize("size", ["65", 65.0, None])
-    def test_size_not_an_integer(self, size):
-        with pytest.raises(ValueError, match="size"):
-            make_scene("flat-translate", size=size)
-
     def test_numpy_integers_accepted(self):
         scene = pixel_scene(
             17, Flat(), GaussianPattern(), Translation(0.0, 0.0),
@@ -92,7 +87,7 @@ class TestSceneValidation:
     # ints beyond the float range, one with more digits than Python converts to a
     # string, are refused by name at construction, before render would overflow
     @pytest.mark.parametrize("value", [10**400, 10**5000], ids=["beyond-float", "beyond-str"])
-    @pytest.mark.parametrize("name", ["size", "frame_count", "noise_sigma"])
+    @pytest.mark.parametrize("name", ["frame_count", "noise_sigma"])
     def test_int_beyond_float_range(self, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be"):
             make_scene("flat-static", **{"size": 9, name: value})
